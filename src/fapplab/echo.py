@@ -190,6 +190,8 @@ class EchoCurve:
         n = arrays["times"].size
         if any(a.size != n for a in arrays.values()):
             raise ValueError("curve arrays must have equal length")
+        if np.any(arrays["times"] < 0):
+            raise ValueError("times must be non-negative")
         if n > 1 and np.any(np.diff(arrays["times"]) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(arrays["mean_overlap"] < 0) or np.any(arrays["mean_overlap"] > 1):

@@ -1,7 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fapplab.cli import main, parse_config_file, resolve_config
+from fapplab.cli import EXPERIMENTS, PARAM_TABLE, main, parse_config_file, resolve_config
 from fapplab.errors import ConfigError
 
 
@@ -36,13 +40,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             resolve_config("echo", {"ensemble": "many"})
 
-    def test_range_checks(self):
-        with pytest.raises(ConfigError):
-            resolve_config("echo", {"ensemble": "10"})
-        with pytest.raises(ConfigError):
-            resolve_config("qfunction", {"j": "0.3"})
-        with pytest.raises(ConfigError):
-            resolve_config("classical-reverse", {"samples": "10"})
+    def test_range_checks(self, tmp_path, capsys):
+        # the library constructors own these checks; main maps them to exit 2
+        for experiment, pair in (("echo", {"ensemble": "10"}),
+                                 ("qfunction", {"j": "0.3"}),
+                                 ("classical-reverse", {"samples": "10"})):
+            cfg = write_config(tmp_path / "c.cfg", experiment=experiment, **pair)
+            assert run_cli("--config", cfg, "--out", str(tmp_path / "o.csv")) == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -68,6 +73,26 @@ class TestExitCodes:
                            grid_nodes="4")
         assert run_cli("--config", cfg, "--out", str(tmp_path / "o.csv")) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("echo", "times", "5,0"),
+        ("classical-reverse", "cell_width", "7"),
+        ("echo", "sigma_scale", "0.5"),
+        ("qfunction", "j", "600"),
+        ("echo", "theta0", "4"),
+        ("echo", "phi0", "7"),
+        ("qfunction", "j", "nan"),
+        ("qfunction", "j", "inf"),
+        ("classical-reverse", "kick", "nan"),
+        ("echo", "times", "nan"),
+        ("echo", "sigma_scale", "nan"),
+    ])
+    def test_invalid_value_is_2(self, tmp_path, capsys, experiment, key, value):
+        cfg = write_config(tmp_path / "c.cfg", experiment=experiment, **{key: value})
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", cfg, "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_error_is_4(self, tmp_path):
         assert run_cli("--experiment", "bell",
@@ -165,3 +190,60 @@ class TestReproducibility:
         data2 = [line for line in out2.read_text().splitlines()
                  if not line.startswith("#")]
         assert data1 == data2
+
+
+def _value(numbers):
+    """Config text for one key: a number or one of the malformed spellings."""
+    return st.one_of(st.sampled_from(["nan", "inf", "-1", "abc", ""]), numbers.map(str))
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def _listed(numbers, max_size):
+    return st.lists(numbers, max_size=max_size).map(lambda xs: ",".join(map(str, xs)))
+
+
+# numeric ranges are capped for runtime only: the largest runs take well under a second
+_CONFIG_VALUES = {
+    "j": _value(st.one_of(st.integers(-1, 12).map(lambda k: k / 2), _floats(-1, 6))),
+    "theta0": _value(_floats(-1, 4)),
+    "phi0": _value(_floats(-1, 7)),
+    "grid_nodes": _value(st.integers(-2, 20)),
+    "kick": _value(_floats(-1, 10)),
+    "delta_kick": _value(_floats(-0.1, 1)),
+    "cell_q": _value(_floats(-10, 10)),
+    "cell_p": _value(_floats(-10, 10)),
+    "cell_width": _value(_floats(-1, 8)),
+    "t_values": st.one_of(_value(st.integers(-1, 6)), _listed(st.integers(-1, 6), 2)),
+    "samples": _value(st.integers(-10, 2000)),
+    "sigma_scale": _value(_floats(-0.1, 1)),
+    "ensemble": _value(st.integers(-10, 150)),
+    "times": st.one_of(_value(_floats(-1, 50)), _listed(_floats(-1, 50), 3)),
+    "observer_dim": _value(st.integers(-1, 4)),
+    "sampled": st.sampled_from(["true", "false", "yes", "0", "maybe", ""]),
+    "shots": _value(st.integers(-5, 2000)),
+}
+
+
+@st.composite
+def _configs(draw):
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    keys = draw(st.lists(st.sampled_from(sorted(PARAM_TABLE[experiment])), unique=True))
+    return experiment, {key: draw(_CONFIG_VALUES[key]) for key in keys}
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(_configs(), st.integers(0, 3))
+def test_any_config_ends_in_a_documented_exit_code(config, seed):
+    experiment, pairs = config
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "c.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{k}={v}\n" for k, v in pairs.items()))
+        out = os.path.join(tmp, "o.csv")
+        code = main(["--experiment", experiment, "--config", cfg, "--seed", str(seed),
+                     "--out", out])
+        assert code in (0, 2, 3, 4)
+        assert os.path.exists(out) == (code == 0)
