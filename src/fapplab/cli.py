@@ -191,16 +191,16 @@ def _run_reverse(cfg: dict, seed: int, buf) -> str:
     buf.write("t,probability,std_error,bound\n")
     child_seeds = np.random.SeedSequence(entropy=seed).generate_state(
         len(cfg["t_values"]), dtype=np.uint64)
-    last = None
-    for idx, t in enumerate(cfg["t_values"]):
-        config = rev_mod.ReversalConfig(
-            map=mapping, perturbed_kick=cfg["kick"] + cfg["delta_kick"], steps=int(t),
-            region=region, samples=cfg["samples"], seed=int(child_seeds[idx]))
+    # every row is validated before any row runs
+    configs = [rev_mod.ReversalConfig(
+        map=mapping, perturbed_kick=cfg["kick"] + cfg["delta_kick"], steps=int(t),
+        region=region, samples=cfg["samples"], seed=int(child_seed))
+        for t, child_seed in zip(cfg["t_values"], child_seeds)]
+    for t, config in zip(cfg["t_values"], configs):
         result = rev_mod.reversal_probability(config)
         buf.write(f"{t},{result.probability!r},{result.std_error!r},{result.bound!r}\n")
-        last = result
     return (f"classical-reverse K={cfg['kick']} dK={cfg['delta_kick']} "
-            f"probability={last.probability:.6f} lyapunov={last.lyapunov_estimate:.4f}")
+            f"probability={result.probability:.6f} lyapunov={result.lyapunov_estimate:.4f}")
 
 
 def _run_echo(cfg: dict, seed: int, buf) -> str:
@@ -242,10 +242,9 @@ def _run_bell(cfg: dict, seed: int, buf) -> str:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
         corr = {name: bell_mod.correlation_sampled(state, a, b, cfg["shots"], rng)
                 for name, a, b in settings.pairs()}
-        chsh = abs(corr["a1b1"] + corr["a1b2"] + corr["a2b1"] - corr["a2b2"])
     else:
         corr = {name: bell_mod.correlation(state, a, b) for name, a, b in settings.pairs()}
-        chsh = bell_mod.chsh_value(state, settings)
+    chsh = bell_mod.chsh_from_correlations(corr)
     for name in ("a1b1", "a1b2", "a2b1", "a2b2"):
         buf.write(f"{name},{corr[name]!r}\n")
     classical = bell_mod.lhv_bound()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StageError
-from .qcore import OperatorMatrix, ProductSpace, StateVector, partial_trace, tensor_all
+from .qcore import OperatorMatrix, ProductSpace, StateVector, tensor_all
 
 STAGES = ("initial", "post-stern-gerlach", "post-observer", "post-message")
 
@@ -91,23 +91,15 @@ def _require_stage(state: LabState, *allowed: str):
         raise StageError(f"operation requires stage in {allowed}, state is at {state.stage!r}")
 
 
-def _embed(space: LabSpace, op123: np.ndarray | None = None,
-           op234: np.ndarray | None = None, op5: np.ndarray | None = None) -> np.ndarray:
-    """Lift a local operator to the full product space (row-major kron)."""
-    d4 = space.observer_dim
-    if op123 is not None:
-        return np.kron(np.kron(op123, np.eye(d4)), np.eye(3))
-    if op234 is not None:
-        return np.kron(np.kron(np.eye(2), op234), np.eye(3))
-    if op5 is not None:
-        return np.kron(np.eye(8 * d4), op5)
-    raise ValueError("nothing to embed")
-
-
-def _apply_unitary(state: LabState, u_full: np.ndarray, new_stage: str) -> LabState:
-    u = OperatorMatrix(u_full, kind="unitary")
+def _apply_local(state: LabState, gate: OperatorMatrix, first_factor: int,
+                 new_stage: str) -> LabState:
+    """Apply a gate on the adjacent factors starting at `first_factor`: the
+    amplitudes are reshaped to (left, gate.dim, right) and multiplied once.
+    """
+    left = int(np.prod(state.space.layout.factor_dims[:first_factor]))
+    amps = state.psi.amplitudes.reshape(left, gate.dim, -1)
     return LabState(space=state.space,
-                    psi=StateVector(u.entries @ state.psi.amplitudes),
+                    psi=StateVector(np.matmul(gate.entries, amps)),
                     stage=new_stage)
 
 
@@ -124,25 +116,24 @@ def prepare_initial(space: LabSpace) -> LabState:
 
 
 def stern_gerlach_unitary(space: LabSpace) -> OperatorMatrix:
-    """Branch recorder on (atom, organ-up, organ-down): the up branch flips
+    """8x8 branch recorder on (atom, organ-up, organ-down): the up branch flips
     organ 2, the down branch flips organ 3. Self-inverse on the z basis.
     """
     p_up = np.outer(Z_PLUS, Z_PLUS.conj())
     p_down = np.outer(Z_MINUS, Z_MINUS.conj())
     u123 = (np.kron(np.kron(p_up, FLIP), np.eye(2))
             + np.kron(np.kron(p_down, np.eye(2)), FLIP))
-    return OperatorMatrix(_embed(space, op123=u123), kind="unitary")
+    return OperatorMatrix(u123, kind="unitary")
 
 
 def stern_gerlach(state: LabState) -> LabState:
     _require_stage(state, "initial")
-    u = stern_gerlach_unitary(state.space)
-    return _apply_unitary(state, u.entries, "post-stern-gerlach")
+    return _apply_local(state, stern_gerlach_unitary(state.space), 0, "post-stern-gerlach")
 
 
 def observer_unitary(space: LabSpace) -> OperatorMatrix:
-    """Observer readout on (organ-up, organ-down, observer): the (+,-) organ
-    pattern writes "knows up", the (-,+) pattern writes "knows down".
+    """(4 d4)x(4 d4) observer readout on (organ-up, organ-down, observer): the
+    (+,-) organ pattern writes "knows up", the (-,+) pattern writes "knows down".
     """
     d4 = space.observer_dim
     ready = space.ready_index
@@ -158,13 +149,12 @@ def observer_unitary(space: LabSpace) -> OperatorMatrix:
     p_rest = np.eye(4) - p_up_branch - p_down_branch
     u234 = (np.kron(p_up_branch, g_up) + np.kron(p_down_branch, g_down)
             + np.kron(p_rest, np.eye(d4)))
-    return OperatorMatrix(_embed(space, op234=u234), kind="unitary")
+    return OperatorMatrix(u234, kind="unitary")
 
 
 def observer_coupling(state: LabState) -> LabState:
     _require_stage(state, "post-stern-gerlach")
-    u = observer_unitary(state.space)
-    return _apply_unitary(state, u.entries, "post-observer")
+    return _apply_local(state, observer_unitary(state.space), 1, "post-observer")
 
 
 def write_message(state: LabState) -> LabState:
@@ -179,7 +169,7 @@ def write_message(state: LabState) -> LabState:
     u5[:, 2] = MESSAGE_DEFINITE
     u5[:, 0] = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
     u5[:, 1] = np.array([0.0, 0.0, 1.0])
-    return _apply_unitary(state, _embed(state.space, op5=u5), "post-message")
+    return _apply_local(state, OperatorMatrix(u5, kind="unitary"), 4, "post-message")
 
 
 def branch_states(space: LabSpace) -> tuple[StateVector, StateVector]:
@@ -248,8 +238,15 @@ def branch_probabilities(state: LabState) -> tuple[float, float]:
     return (_subsystem_probability(state, up), _subsystem_probability(state, down))
 
 
+def _reduced(rho: np.ndarray) -> OperatorMatrix:
+    """Tag a reduced state; it is PSD with unit trace because psi is normalized."""
+    return OperatorMatrix(0.5 * (rho + rho.conj().T), kind="hermitian")
+
+
 def message_reduced_state(state: LabState) -> OperatorMatrix:
-    return partial_trace(state.psi.density(), state.space.layout, keep=[4])
+    """Message factor's state M^T M* from the (systems 1-4) x message amplitude matrix M."""
+    m = state.psi.amplitudes.reshape(-1, 3)
+    return _reduced(m.T @ m.conj())
 
 
 def message_purity(state: LabState) -> float:
@@ -259,10 +256,9 @@ def message_purity(state: LabState) -> float:
 
 def message_mutual_information(state: LabState) -> float:
     """Mutual information between the message and the rest (0 for a product state)."""
-    layout = state.space.layout
-    rho = state.psi.density()
-    s5 = _entropy(partial_trace(rho, layout, keep=[4]))
-    s14 = _entropy(partial_trace(rho, layout, keep=[0, 1, 2, 3]))
+    m = state.psi.amplitudes.reshape(-1, 3)
+    s5 = _entropy(message_reduced_state(state))
+    s14 = _entropy(_reduced(m @ m.conj().T))
     return s5 + s14  # global state is pure, so S(total) = 0
 
 

@@ -34,6 +34,8 @@ class SpinSystem:
         twoj = round(2 * self.j)
         if abs(2 * self.j - twoj) > 1e-12 or twoj < 1:
             raise ValueError(f"j must be a half-integer >= 1/2, got {self.j}")
+        if twoj > 2 * MAX_J:
+            raise ValueError(f"j = {self.j} exceeds the supported maximum {MAX_J}")
         object.__setattr__(self, "j", twoj / 2.0)
 
     @property
@@ -132,26 +134,30 @@ def _power_term(exponent: np.ndarray, log_base) -> np.ndarray:
         return np.where(exponent == 0, 0.0, exponent * log_base)
 
 
-def coherent_state(sys: SpinSystem, omega: SolidAngle) -> StateVector:
-    """Spin coherent state pointing along omega.
+def _coherent_amplitudes(sys: SpinSystem, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Unnormalized <m|Omega> for each direction (theta, phi): one row per direction.
 
     Amplitude on |m>: binom(2j, j+m)^(1/2) cos^(j+m)(theta/2) sin^(j-m)(theta/2)
     e^(-i m phi); binomials are evaluated in log space.
     """
-    if sys.j > MAX_J:
-        raise ValueError(f"j = {sys.j} exceeds the supported maximum {MAX_J}")
     j = sys.j
     m = sys.m_values
-    c = np.cos(omega.theta / 2)
-    s = np.sin(omega.theta / 2)
-    amps = np.zeros(sys.dim, dtype=complex)
+    c = np.cos(thetas / 2)
+    s = np.sin(thetas / 2)
     logb = _log_binomials(j)
-    logc = np.log(c) if c > 0 else -np.inf
-    logs = np.log(s) if s > 0 else -np.inf
-    logmag = logb + _power_term(j + m, logc) + _power_term(j - m, logs)
-    ok = np.isfinite(logmag)
-    amps[ok] = np.exp(logmag[ok]) * np.exp(-1j * m[ok] * omega.phi)
-    return StateVector(amps, normalize=True)
+    logc = np.where(c > 0, np.log(np.maximum(c, 1e-300)), -np.inf)
+    logs = np.where(s > 0, np.log(np.maximum(s, 1e-300)), -np.inf)
+    logmag = (logb[None, :]
+              + _power_term(np.broadcast_to(j + m, (c.size, m.size)), logc[:, None])
+              + _power_term(np.broadcast_to(j - m, (c.size, m.size)), logs[:, None]))
+    mag = np.where(np.isfinite(logmag), np.exp(logmag), 0.0)
+    return mag * np.exp(-1j * np.outer(phis, m))
+
+
+def coherent_state(sys: SpinSystem, omega: SolidAngle) -> StateVector:
+    """Spin coherent state pointing along omega."""
+    amps = _coherent_amplitudes(sys, np.array([omega.theta]), np.array([omega.phi]))
+    return StateVector(amps[0], normalize=True)
 
 
 def coherent_kernel(sys: SpinSystem, grid: SphereGrid) -> np.ndarray:
@@ -160,20 +166,7 @@ def coherent_kernel(sys: SpinSystem, grid: SphereGrid) -> np.ndarray:
     Precompute once and pass to q_function / q_function_pure when evaluating
     many states on the same grid.
     """
-    if sys.j > MAX_J:
-        raise ValueError(f"j = {sys.j} exceeds the supported maximum {MAX_J}")
-    j = sys.j
-    m = sys.m_values
-    c = np.cos(grid.thetas / 2)
-    s = np.sin(grid.thetas / 2)
-    logb = _log_binomials(j)
-    logc = np.where(c > 0, np.log(np.maximum(c, 1e-300)), -np.inf)
-    logs = np.where(s > 0, np.log(np.maximum(s, 1e-300)), -np.inf)
-    logmag = (logb[None, :]
-              + _power_term(np.broadcast_to(j + m, (c.size, m.size)), logc[:, None])
-              + _power_term(np.broadcast_to(j - m, (c.size, m.size)), logs[:, None]))
-    mag = np.where(np.isfinite(logmag), np.exp(logmag), 0.0)
-    kernel = mag * np.exp(-1j * np.outer(grid.phis, m))
+    kernel = _coherent_amplitudes(sys, grid.thetas, grid.phis)
     kernel.setflags(write=False)
     return kernel
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fapplab import bell as bell_mod, reversal as rev_mod
 from fapplab.cli import EXPERIMENTS, PARAM_TABLE, main, parse_config_file, resolve_config
 from fapplab.errors import ConfigError
 
@@ -86,9 +87,24 @@ class TestExitCodes:
         ("classical-reverse", "kick", "nan"),
         ("echo", "times", "nan"),
         ("echo", "sigma_scale", "nan"),
+        ("qfunction", "j", "1000000"),
+        ("echo", "j", "1000000"),
     ])
     def test_invalid_value_is_2(self, tmp_path, capsys, experiment, key, value):
         cfg = write_config(tmp_path / "c.cfg", experiment=experiment, **{key: value})
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", cfg, "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reverse_rejects_bad_row_before_running_any(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def must_not_run(config):
+            raise AssertionError("a reversal row ran before every row was validated")
+
+        monkeypatch.setattr(rev_mod, "reversal_probability", must_not_run)
+        cfg = write_config(tmp_path / "c.cfg", experiment="classical-reverse",
+                           t_values="5,-1")
         out = tmp_path / "o.csv"
         assert run_cli("--config", cfg, "--out", str(out)) == 2
         assert "config error" in capsys.readouterr().err
@@ -117,6 +133,21 @@ class TestOutputs:
         out = tmp_path / "bell.csv"
         assert run_cli("--config", cfg, "--seed", "3", "--out", str(out)) == 0
         assert "mode=sampled" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+    def test_bell_summary_chsh_matches_library(self, tmp_path, capsys, sampled):
+        seed, shots = 3, 4000
+        cfg = write_config(tmp_path / "c.cfg", experiment="bell",
+                           sampled=str(sampled).lower(), shots=str(shots))
+        assert run_cli("--config", cfg, "--seed", str(seed),
+                       "--out", str(tmp_path / "bell.csv")) == 0
+        state, chsh_settings = bell_mod.build_bell_state(), bell_mod.ChshSettings.default()
+        if sampled:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+            expected = bell_mod.chsh_value_sampled(state, chsh_settings, shots, rng)
+        else:
+            expected = bell_mod.chsh_value(state, chsh_settings)
+        assert f"chsh={expected:.6f} " in capsys.readouterr().out
 
     def test_reverse_unperturbed_probability_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", experiment="classical-reverse",

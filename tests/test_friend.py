@@ -7,7 +7,8 @@ from fapplab.qcore import (OperatorMatrix, StateVector, partial_trace, tensor_al
 from fapplab.friend import (MESSAGE_BLANK, LabSpace, LabState, branch_probabilities,
                             branch_states, interference_measurement,
                             interference_states, message_mutual_information,
-                            message_purity, observer_coupling, observer_unitary,
+                            message_purity, message_reduced_state, observer_coupling,
+                            observer_unitary,
                             prepare_initial, qutrit_observer_measurement,
                             run_pipeline, stern_gerlach, stern_gerlach_unitary,
                             write_message)
@@ -49,8 +50,8 @@ class TestPreparation:
 class TestSternGerlach:
     def test_unitary(self, space):
         u = stern_gerlach_unitary(space)
-        assert np.max(np.abs(u.entries @ u.entries.conj().T
-                             - np.eye(space.total_dim))) < 1e-12
+        assert u.dim == 8  # local gate on (atom, organ-up, organ-down)
+        assert np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(8))) < 1e-12
 
     def test_branch_recording(self, space2):
         state = stern_gerlach(prepare_initial(space2))
@@ -78,7 +79,7 @@ class TestSternGerlach:
 
     def test_self_inverse_on_definite_inputs(self, space2):
         u = stern_gerlach_unitary(space2).entries
-        assert np.max(np.abs(u @ u - np.eye(space2.total_dim))) < 1e-12
+        assert np.max(np.abs(u @ u - np.eye(8))) < 1e-12
 
     def test_wrong_stage_rejected(self, space2):
         state = stern_gerlach(prepare_initial(space2))
@@ -89,8 +90,9 @@ class TestSternGerlach:
 class TestObserverCoupling:
     def test_unitary(self, space):
         u = observer_unitary(space)
-        assert np.max(np.abs(u.entries @ u.entries.conj().T
-                             - np.eye(space.total_dim))) < 1e-12
+        d = 4 * space.observer_dim  # local gate on (organ-up, organ-down, observer)
+        assert u.dim == d
+        assert np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(d))) < 1e-12
 
     def test_reaches_superposition_output(self, space):
         state = observer_coupling(stern_gerlach(prepare_initial(space)))
@@ -232,3 +234,51 @@ class TestPipelineReport:
         assert report["p_plus_post_message"] == pytest.approx(1.0, abs=1e-12)
         assert report["message_purity"] == pytest.approx(1.0, abs=1e-12)
         assert report["message_mutual_information"] < 1e-10
+
+
+class TestLocalGatesAgainstFullSpaceOracle:
+    """The local gates and reduced states against the full-space route:
+    Kronecker-lifted 48x48 / 72x72 unitaries and partial traces of |psi><psi|.
+    """
+
+    @staticmethod
+    def lift(gate, left, right):
+        return np.kron(np.kron(np.eye(left), gate), np.eye(right))
+
+    def test_pipeline_amplitudes(self, space):
+        d4 = space.observer_dim
+        u123 = self.lift(stern_gerlach_unitary(space).entries, 1, 3 * d4)
+        u234 = self.lift(observer_unitary(space).entries, 2, 3)
+        u5 = np.zeros((3, 3), dtype=complex)  # write_message's gate on the message qutrit
+        u5[:, 0] = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        u5[:, 1] = [0.0, 0.0, 1.0]
+        u5[:, 2] = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        u5 = self.lift(u5, 8 * d4, 1)
+
+        state = prepare_initial(space)
+        psi = state.psi.amplitudes
+        for step, u in ((stern_gerlach, u123), (observer_coupling, u234),
+                        (write_message, u5)):
+            state = step(state)
+            psi = u @ psi
+            assert_allclose(state.psi.amplitudes, psi, rtol=0, atol=1e-15)
+
+    def test_reduced_states(self, space):
+        # a random state entangles the message with systems 1-4, unlike the pipeline
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
+        state = LabState(space=space, psi=StateVector(amps, normalize=True),
+                         stage="post-message")
+        rho = state.psi.density()
+        rho5 = partial_trace(rho, space.layout, [4]).entries
+        rho14 = partial_trace(rho, space.layout, [0, 1, 2, 3]).entries
+        assert_allclose(message_reduced_state(state).entries, rho5, rtol=0, atol=1e-15)
+
+        def entropy(r):
+            evals = np.linalg.eigvalsh(r)
+            evals = evals[evals > 1e-15]
+            return -np.sum(evals * np.log(evals))
+
+        mutual = entropy(rho5) + entropy(rho14)
+        assert mutual > 0.1
+        assert message_mutual_information(state) == pytest.approx(mutual, abs=1e-12)
