@@ -181,7 +181,7 @@ def _run_qfunction(cfg: dict, buf) -> str:
     qf = sc.q_function_pure(state, sys_, grid)
     qf.write_csv(buf)
     return (f"qfunction j={cfg['j']} nodes={grid.size} "
-            f"integral={qf.integral():.6f} clipped={qf.clipped_nodes}")
+            f"integral={qf.integral():.6f}")
 
 
 def _run_reverse(cfg: dict, seed: int, buf) -> str:

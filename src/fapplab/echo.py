@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ToleranceError
 from .qcore import OperatorMatrix, StateVector
-from .spincoarse import SphereGrid, SpinSystem, bhattacharyya, coherent_kernel, q_function_pure
+from .spincoarse import (SphereGrid, SpinSystem, _mixture_q, _node_overlaps, bhattacharyya,
+                         q_function_pure)
 
 SIGMA_BYPASS = 1e-15  # below this the ensemble collapses onto its means exactly
 DIAGONAL_TOL = 1e-12
@@ -154,16 +155,20 @@ def combined_evolution(psi: StateVector, h0: SpectralHamiltonian,
 
 
 def reversibility_measure(psi: StateVector, h0: SpectralHamiltonian, v: OperatorMatrix,
-                          t: float, sys: SpinSystem, grid: SphereGrid,
-                          kernel: np.ndarray | None = None) -> float:
+                          t: float, sys: SpinSystem, grid: SphereGrid) -> float:
     """Bhattacharyya overlap between the macroscopic states before and after
     the forward-then-imperfectly-reversed evolution.
     """
-    if kernel is None:
-        kernel = coherent_kernel(sys, grid)
-    before = q_function_pure(psi, sys, grid, kernel)
-    after = q_function_pure(combined_evolution(psi, h0, v, t), sys, grid, kernel)
+    before = q_function_pure(psi, sys, grid)
+    after = q_function_pure(combined_evolution(psi, h0, v, t), sys, grid)
     return bhattacharyya(before, after)
+
+
+def _check_times(times: np.ndarray):
+    if np.any(times < 0):
+        raise ValueError("times must be non-negative")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -190,10 +195,7 @@ class EchoCurve:
         n = arrays["times"].size
         if any(a.size != n for a in arrays.values()):
             raise ValueError("curve arrays must have equal length")
-        if np.any(arrays["times"] < 0):
-            raise ValueError("times must be non-negative")
-        if n > 1 and np.any(np.diff(arrays["times"]) <= 0):
-            raise ValueError("times must be strictly increasing")
+        _check_times(arrays["times"])
         if np.any(arrays["mean_overlap"] < 0) or np.any(arrays["mean_overlap"] > 1):
             raise ValueError("mean overlap must lie in [0, 1]")
         if arrays["times"][0] == 0.0 and abs(arrays["mean_overlap"][0] - 1.0) > 1e-10:
@@ -207,30 +209,30 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     The `analytic_bound` column is the Gaussian coherence-damping reference
     curve exp(-(sigma t)^2 / 4). The diagonal level pairs escape that damping,
     so the mean overlap levels off above it; the exact ensemble-averaged
-    Q-function is `averaged_q_formula`. Member states are pure phase profiles,
-    so each member costs one Q-function evaluation per time.
+    Q-function is `averaged_q_formula`. Member states are pure phase profiles
+    (e^{iVt} * c) in the eigenbasis; for each time the whole ensemble goes
+    through the separable Q evaluation in chunks, one Bhattacharyya value per
+    member.
     """
+    times = np.asarray(times, dtype=float)
+    _check_times(times)
     if ensemble_size < 100:
         raise ValueError("need at least 100 ensemble members")
-    times = np.asarray(times, dtype=float)
     if pert.h0 is not h0 and not np.array_equal(pert.h0.eigenvalues, h0.eigenvalues):
         raise ValueError("perturbation ensemble is paired with a different Hamiltonian")
-    kernel = coherent_kernel(sys, grid)
-    q_before = q_function_pure(psi, sys, grid, kernel)
-    sqrt_before = np.sqrt(q_before.values)
+    q_before = q_function_pure(psi, sys, grid)
+    weighted_before = grid.weights * np.sqrt(q_before.values)
     u = h0.eigenbasis.entries
     coeff = u.conj().T @ psi.amplitudes
     norm = (2 * sys.j + 1) / (4 * np.pi)
-    ku = kernel.conj() @ u  # node x level overlap table, reused by every member
+    values = np.array([pert.draw_values(member) for member in range(ensemble_size)])
 
     overlaps = np.empty((ensemble_size, times.size))
-    for member in range(ensemble_size):
-        values = pert.draw_values(member)
-        for it, t in enumerate(times):
-            amp = ku @ (np.exp(1j * values * t) * coeff)
-            q_after = norm * np.abs(amp) ** 2
-            val = float(np.sum(grid.weights * sqrt_before * np.sqrt(q_after)))
-            overlaps[member, it] = min(max(val, 0.0), 1.0)
+    for it, t in enumerate(times):
+        members = (np.exp(1j * values * t) * coeff) @ u.T
+        for chunk, q_after in _node_overlaps(sys, grid, members):
+            overlaps[chunk, it] = np.sum(weighted_before * np.sqrt(norm * q_after), axis=1)
+    np.clip(overlaps, 0.0, 1.0, out=overlaps)
 
     mean = overlaps.mean(axis=0)
     std_error = overlaps.std(axis=0, ddof=1) / np.sqrt(ensemble_size)
@@ -240,8 +242,7 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
 
 
 def averaged_q_formula(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPerturbation,
-                       t: float, sys: SpinSystem, grid: SphereGrid,
-                       kernel: np.ndarray | None = None) -> np.ndarray:
+                       t: float, sys: SpinSystem, grid: SphereGrid) -> np.ndarray:
     """Exact closed form of the ensemble-averaged Q-function.
 
     Averaging e^{i(V_a - V_b)t} over independent Gaussian draws damps every
@@ -253,14 +254,10 @@ def averaged_q_formula(psi: StateVector, h0: SpectralHamiltonian, pert: Gaussian
 
     with phi_a(t) = psi_a e^{i W_a t}.
     """
-    if kernel is None:
-        kernel = coherent_kernel(sys, grid)
     u = h0.eigenbasis.entries
     coeff = u.conj().T @ psi.amplitudes
-    ku = kernel.conj() @ u
-    norm = (2 * sys.j + 1) / (4 * np.pi)
     damping = np.exp(-(pert.sigma * t) ** 2 / 2.0)
     phi = np.exp(1j * pert.means * t) * coeff
-    coherent_part = norm * np.abs(ku @ phi) ** 2
-    dephased_part = norm * (np.abs(ku) ** 2 @ np.abs(coeff) ** 2)
+    coherent_part = _mixture_q(sys, grid, np.ones(1), (u @ phi)[None, :])
+    dephased_part = _mixture_q(sys, grid, np.abs(coeff) ** 2, u.T)
     return damping * coherent_part + (1.0 - damping) * dephased_part

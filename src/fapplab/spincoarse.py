@@ -8,7 +8,6 @@ number m = -j ... +j, so index k holds m = k - j.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import lgamma, pi
 
@@ -18,9 +17,10 @@ from .errors import GridOrderError, ToleranceError
 from .qcore import OperatorMatrix, StateVector
 
 MAX_J = 500  # binomials are evaluated in log space; beyond this we refuse
-NEGATIVE_Q_TOL = 1e-12
+MAX_GRID_AXIS = 2 * MAX_J + 2  # nodes per axis of the default grid of the largest spin
 Q_NORM_TOL = 1e-8
 BHATTACHARYYA_EXCESS_TOL = 1e-8
+OVERLAP_CHUNK_BYTES = 8 * 2**20  # complex node overlaps held at once; bounds peak memory
 MACRO_WIDTH_FACTOR = 5.0  # operational reading of "z-width well above sqrt(j)"
 
 
@@ -83,6 +83,9 @@ class SphereGrid:
     def __init__(self, n_theta: int, n_phi: int):
         if n_theta < 1 or n_phi < 1:
             raise ValueError("grid needs at least one node per axis")
+        if max(n_theta, n_phi) > MAX_GRID_AXIS:
+            raise ValueError(f"grid of {n_theta} x {n_phi} nodes exceeds {MAX_GRID_AXIS} "
+                             f"per axis, the default grid of j = {MAX_J}")
         x, w_theta = np.polynomial.legendre.leggauss(n_theta)
         theta = np.arccos(x)
         phi = 2 * pi * np.arange(n_phi) / n_phi
@@ -161,10 +164,11 @@ def coherent_state(sys: SpinSystem, omega: SolidAngle) -> StateVector:
 
 
 def coherent_kernel(sys: SpinSystem, grid: SphereGrid) -> np.ndarray:
-    """Matrix K[node, m] = <m|Omega_node> for every grid node.
+    """Dense matrix K[node, m] = <m|Omega_node> for every grid node.
 
-    Precompute once and pass to q_function / q_function_pure when evaluating
-    many states on the same grid.
+    Nodes x (2j+1) complex entries (439 MB at j = 150): the library evaluates
+    Q-functions through the separable route of `_node_overlaps` instead, and
+    keeps this as the independent oracle that tests compare against.
     """
     kernel = _coherent_amplitudes(sys, grid.thetas, grid.phis)
     kernel.setflags(write=False)
@@ -178,7 +182,6 @@ class QFunction:
     grid: SphereGrid
     values: np.ndarray
     j: float
-    clipped_nodes: int = 0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -186,18 +189,28 @@ class QFunction:
         if vals.size != self.grid.size:
             raise ValueError("value count does not match grid size")
         if vals.min() < 0:
-            raise ValueError("QFunction values must be clipped non-negative")
+            raise ValueError("QFunction values must be non-negative")
 
     def integral(self) -> float:
         return float(np.sum(self.grid.weights * self.values))
 
     def write_csv(self, fileobj) -> None:
-        """Columns theta, phi, weight, value with a mandatory header row."""
-        writer = csv.writer(fileobj, lineterminator="\n")
-        writer.writerow(["theta", "phi", "weight", "value"])
-        for th, ph, w, v in zip(self.grid.thetas, self.grid.phis,
-                                self.grid.weights, self.values):
-            writer.writerow([repr(float(th)), repr(float(ph)), repr(float(w)), repr(float(v))])
+        """Columns theta, phi, weight, value with a mandatory header row.
+
+        On the product grid theta and the weight are constant along a
+        theta-row and phi repeats in every row, so those columns are formatted
+        once per distinct value and only the value column once per node.
+        """
+        n_phi = self.grid.n_phi
+        phis = [repr(ph) for ph in self.grid.phis[:n_phi].tolist()]
+        values = [repr(v) for v in self.values.tolist()]
+        lines = ["theta,phi,weight,value\n"]
+        for row, (th, w) in enumerate(zip(self.grid.thetas[::n_phi].tolist(),
+                                          self.grid.weights[::n_phi].tolist())):
+            head, tail = f"{th!r},", f",{w!r},"
+            lines += [f"{head}{ph}{tail}{v}\n"
+                      for ph, v in zip(phis, values[row * n_phi:(row + 1) * n_phi])]
+        fileobj.write("".join(lines))
 
 
 @dataclass(frozen=True)
@@ -245,57 +258,72 @@ def _check_order(sys: SpinSystem, grid: SphereGrid):
             f"grid exactness order {grid.exactness_order} below the spin band limit {band}")
 
 
+def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray):
+    """|<Omega|psi_k>|^2 at every grid node for each row psi_k of `states`.
+
+    On the product grid <Omega|psi> = e^{-ij phi} sum_m d_m(theta) psi_m
+    e^{i(j+m) phi} with the real d_m(theta) = |<m|theta, 0>|, so each theta-row
+    is one length-n_phi inverse DFT of d(theta) * psi, and the phase
+    e^{-ij phi} drops out of |.|^2 (Driscoll & Healy, Adv. Appl. Math. 15,
+    1994). Yields (slice of `states`, overlaps of shape (rows, nodes)) for
+    consecutive chunks of at most OVERLAP_CHUNK_BYTES of complex overlaps.
+    """
+    # the order check guarantees n_phi >= 2j+1; below that ifft would silently
+    # truncate the m-sum instead of raising
+    _check_order(sys, grid)
+    table = _coherent_amplitudes(sys, grid.thetas[::grid.n_phi], 0).real
+    step = max(1, OVERLAP_CHUNK_BYTES // (16 * grid.size))
+    for start in range(0, len(states), step):
+        chunk = slice(start, start + step)
+        rows = np.fft.ifft(table * states[chunk, None, :], n=grid.n_phi, axis=-1,
+                           norm="forward")
+        yield chunk, (np.abs(rows) ** 2).reshape(-1, grid.size)
+
+
+def _mixture_q(sys: SpinSystem, grid: SphereGrid, weights: np.ndarray,
+               states: np.ndarray) -> np.ndarray:
+    """(2j+1)/(4pi) sum_k weights_k |<Omega|psi_k>|^2 at every grid node."""
+    total = sum(weights[chunk] @ overlaps
+                for chunk, overlaps in _node_overlaps(sys, grid, states))
+    return (2 * sys.j + 1) / (4 * pi) * total
+
+
 def _finalize_q(raw: np.ndarray, grid: SphereGrid, j: float) -> QFunction:
-    negative = raw < 0
-    if np.any(raw < -NEGATIVE_Q_TOL):
-        worst = raw.min()
-        raise ToleranceError(f"Q-function value {worst!r} below the roundoff tolerance")
-    n_clipped = int(np.count_nonzero(negative))
-    if n_clipped > 0.001 * raw.size:
-        raise ToleranceError(f"{n_clipped} of {raw.size} Q nodes needed clipping")
-    vals = np.where(negative, 0.0, raw)
-    total = float(np.sum(grid.weights * vals))
+    total = float(np.sum(grid.weights * raw))
     if abs(total - 1.0) > Q_NORM_TOL:
         raise GridOrderError(
             f"Q-function integrates to {total!r}; grid order is insufficient for this spin")
-    return QFunction(grid=grid, values=vals, j=j, clipped_nodes=n_clipped)
+    return QFunction(grid=grid, values=raw, j=j)
 
 
-def q_function(rho: OperatorMatrix, sys: SpinSystem, grid: SphereGrid,
-               kernel: np.ndarray | None = None) -> QFunction:
-    """Husimi distribution (2j+1)/(4pi) <Omega|rho|Omega> at every grid node."""
+def q_function(rho: OperatorMatrix, sys: SpinSystem, grid: SphereGrid) -> QFunction:
+    """Husimi distribution (2j+1)/(4pi) <Omega|rho|Omega> at every grid node.
+
+    Evaluated as sum_k p_k |<Omega|psi_k>|^2 over the eigenpairs of rho with
+    p_k > 0 (roundoff-negative eigenvalues are dropped), so no node can come
+    out negative.
+    """
     _check_density(rho, sys.dim)
-    _check_order(sys, grid)
-    if kernel is None:
-        kernel = coherent_kernel(sys, grid)
-    tmp = kernel.conj() @ rho.entries
-    raw = (2 * sys.j + 1) / (4 * pi) * np.einsum("km,km->k", tmp, kernel).real
-    return _finalize_q(raw, grid, sys.j)
+    p, vecs = np.linalg.eigh(rho.entries)
+    keep = p > 0
+    return _finalize_q(_mixture_q(sys, grid, p[keep], vecs[:, keep].T), grid, sys.j)
 
 
-def q_function_pure(psi: StateVector, sys: SpinSystem, grid: SphereGrid,
-                    kernel: np.ndarray | None = None) -> QFunction:
+def q_function_pure(psi: StateVector, sys: SpinSystem, grid: SphereGrid) -> QFunction:
     """Q-function of a pure state, evaluated without forming the projector."""
     if psi.dim != sys.dim:
         raise ValueError(f"state dim {psi.dim}, expected {sys.dim}")
-    _check_order(sys, grid)
-    if kernel is None:
-        kernel = coherent_kernel(sys, grid)
-    overlaps = kernel.conj() @ psi.amplitudes
-    raw = (2 * sys.j + 1) / (4 * pi) * np.abs(overlaps) ** 2
+    raw = _mixture_q(sys, grid, np.ones(1), psi.amplitudes[None, :])
     return _finalize_q(raw, grid, sys.j)
 
 
-def povm_element(sys: SpinSystem, region: CapRegion, grid: SphereGrid,
-                 kernel: np.ndarray | None = None) -> OperatorMatrix:
+def povm_element(sys: SpinSystem, region: CapRegion, grid: SphereGrid) -> OperatorMatrix:
     """Coarse-grained POVM element: (2j+1)/(4pi) sum of w |Omega><Omega| over the cap."""
     _check_order(sys, grid)
-    if kernel is None:
-        kernel = coherent_kernel(sys, grid)
     inside = region.contains(grid.thetas, grid.phis)
     if not np.any(inside):
         raise ValueError("cap region contains no grid nodes")
-    k_in = kernel[inside]
+    k_in = _coherent_amplitudes(sys, grid.thetas[inside], grid.phis[inside])
     w_in = grid.weights[inside]
     mat = (2 * sys.j + 1) / (4 * pi) * (k_in.T @ (w_in[:, None] * k_in.conj()))
     mat = 0.5 * (mat + mat.conj().T)

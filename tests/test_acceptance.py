@@ -120,7 +120,7 @@ def test_04_q_function_suite(j):
     rng = np.random.default_rng(404 + j)
 
     state = coherent_state(sys_, SolidAngle(pi / 3, 0.0))
-    norm_ok = abs(q_function_pure(state, sys_, grid, kernel).integral() - 1.0) < 1e-8
+    norm_ok = abs(q_function_pure(state, sys_, grid).integral() - 1.0) < 1e-8
 
     resolution = (2 * j + 1) / (4 * pi) * (kernel.T @ (grid.weights[:, None]
                                                        * kernel.conj()))
@@ -132,12 +132,12 @@ def test_04_q_function_suite(j):
         v2 = rng.standard_normal(sys_.dim) + 1j * rng.standard_normal(sys_.dim)
         s1 = StateVector(v1, normalize=True)
         s2 = StateVector(v2, normalize=True)
-        macro = bhattacharyya(q_function_pure(s1, sys_, grid, kernel),
-                              q_function_pure(s2, sys_, grid, kernel))
+        macro = bhattacharyya(q_function_pure(s1, sys_, grid),
+                              q_function_pure(s2, sys_, grid))
         dominate_ok &= macro >= abs(s1.overlap(s2)) - 1e-10
 
     top = StateVector.basis(sys_.dim, sys_.dim - 1)
-    q_top = q_function_pure(top, sys_, grid, kernel)
+    q_top = q_function_pure(top, sys_, grid)
     law = (2 * j + 1) / (4 * pi) * np.cos(grid.thetas / 2) ** (4 * j)
     pointwise_ok = np.max(np.abs(q_top.values - law)) < 1e-8
 
@@ -190,13 +190,13 @@ def test_05a_echo_decay_bound(echo_acceptance_run):
     """
     run = echo_acceptance_run
     curve = run["curve"]
-    sys_, grid, kernel = run["sys"], run["grid"], run["kernel"]
-    q0 = q_function_pure(run["psi"], sys_, grid, kernel).values
+    sys_, grid = run["sys"], run["grid"]
+    q0 = q_function_pure(run["psi"], sys_, grid).values
     failures = []
     details = []
     for i, t in enumerate(curve.times):
         qbar = averaged_q_formula(run["psi"], run["h0"], run["pert"], float(t),
-                                  sys_, grid, kernel)
+                                  sys_, grid)
         jensen = float(np.sum(grid.weights * np.sqrt(q0 * qbar)))
         limit = jensen + 3 * curve.std_error[i]
         good = curve.mean_overlap[i] <= limit + 1e-12
@@ -231,7 +231,7 @@ def test_05b_nodewise_averaged_q(echo_acceptance_run):
         mc_mean = run["q_members"][:, i, :].mean(axis=0)
         mc_se = run["q_members"][:, i, :].std(axis=0, ddof=1) / np.sqrt(n)
         exact = averaged_q_formula(psi, run["h0"], run["pert"], float(t),
-                                   run["sys"], run["grid"], kernel)
+                                   run["sys"], run["grid"])
         gap = np.abs(mc_mean - exact)
         allowed = 5 * mc_se + 1e-12
         bad = gap > allowed

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fapplab import bell as bell_mod, reversal as rev_mod
+from fapplab import bell as bell_mod, echo as echo_mod, reversal as rev_mod
 from fapplab.cli import EXPERIMENTS, PARAM_TABLE, main, parse_config_file, resolve_config
 from fapplab.errors import ConfigError
 
@@ -89,6 +89,8 @@ class TestExitCodes:
         ("echo", "sigma_scale", "nan"),
         ("qfunction", "j", "1000000"),
         ("echo", "j", "1000000"),
+        ("qfunction", "grid_nodes", "1003"),
+        ("qfunction", "grid_nodes", "3000000"),
     ])
     def test_invalid_value_is_2(self, tmp_path, capsys, experiment, key, value):
         cfg = write_config(tmp_path / "c.cfg", experiment=experiment, **{key: value})
@@ -105,6 +107,18 @@ class TestExitCodes:
         monkeypatch.setattr(rev_mod, "reversal_probability", must_not_run)
         cfg = write_config(tmp_path / "c.cfg", experiment="classical-reverse",
                            t_values="5,-1")
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", cfg, "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echo_rejects_times_before_running_ensemble(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def must_not_run(self, index):
+            raise AssertionError("an ensemble member ran before the times were checked")
+
+        monkeypatch.setattr(echo_mod.GaussianPerturbation, "draw_values", must_not_run)
+        cfg = write_config(tmp_path / "c.cfg", experiment="echo", times="5,0")
         out = tmp_path / "o.csv"
         assert run_cli("--config", cfg, "--out", str(out)) == 2
         assert "config error" in capsys.readouterr().err

@@ -144,16 +144,23 @@ class TestReversibilityMeasure:
         # the level-population ring still intersects the initial spot).
         sys_ = SpinSystem(20)
         grid = SphereGrid.for_spin(sys_)
-        kernel = coherent_kernel(sys_, grid)
         h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=7)
         sigma = 0.05 * h0.mean_spacing
         pert = GaussianPerturbation(sigma=sigma, means=np.zeros(sys_.dim), seed=8, h0=h0)
         psi = coherent_state(sys_, SolidAngle(np.pi / 3, 0.0))
         vals = [reversibility_measure(psi, h0, draw_perturbation(pert, i),
-                                      4.0 / sigma, sys_, grid, kernel)
+                                      4.0 / sigma, sys_, grid)
                 for i in range(30)]
         assert 0.25 < np.mean(vals) < 0.60
         assert max(vals) < 0.95
+
+
+def rotated_hamiltonian(sys_, rng):
+    """Non-degenerate H0 whose eigenbasis is a random unitary, not the Dicke basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((sys_.dim, sys_.dim))
+                        + 1j * rng.standard_normal((sys_.dim, sys_.dim)))
+    return SpectralHamiltonian(sys=sys_, eigenbasis=OperatorMatrix(q, kind="unitary"),
+                               eigenvalues=np.arange(sys_.dim, dtype=float))
 
 
 @pytest.fixture(scope="module")
@@ -200,23 +207,36 @@ class TestEchoExperiment:
 
     def test_every_member_dominates_quantum_overlap(self, echo_run):
         sys_, grid, h0, pert, psi, curve = echo_run
-        kernel = coherent_kernel(sys_, grid)
         for member in range(200):
             v = draw_perturbation(pert, member)
             for t in curve.times:
                 out = combined_evolution(psi, h0, v, t)
-                macro = reversibility_measure(psi, h0, v, t, sys_, grid, kernel)
+                macro = reversibility_measure(psi, h0, v, t, sys_, grid)
                 assert macro >= abs(np.vdot(psi.amplitudes, out.amplitudes)) - 1e-10
 
     def test_mean_overlap_obeys_exact_jensen_bound(self, echo_run):
         # <(P,Q)> <= integral of sqrt(P <Q>) with the exact averaged Q
         sys_, grid, h0, pert, psi, curve = echo_run
-        kernel = coherent_kernel(sys_, grid)
-        q0 = q_function_pure(psi, sys_, grid, kernel)
+        q0 = q_function_pure(psi, sys_, grid)
         for i, t in enumerate(curve.times):
-            qbar = averaged_q_formula(psi, h0, pert, t, sys_, grid, kernel)
+            qbar = averaged_q_formula(psi, h0, pert, t, sys_, grid)
             jensen = float(np.sum(grid.weights * np.sqrt(q0.values * qbar)))
             assert curve.mean_overlap[i] <= jensen + 3 * curve.std_error[i] + 1e-12
+
+    def test_batch_matches_member_loop(self, rng):
+        # the batched ensemble against one reversibility_measure per member
+        sys_ = SpinSystem(4)
+        grid = SphereGrid.for_spin(sys_)
+        h0 = rotated_hamiltonian(sys_, rng)
+        pert = GaussianPerturbation(sigma=0.05, means=np.zeros(sys_.dim), seed=3, h0=h0)
+        psi = coherent_state(sys_, SolidAngle(1.0, 0.5))
+        times = np.array([0.0, 20.0, 80.0])
+        curve = echo_experiment(psi, h0, pert, times, 100, sys_, grid)
+        loop = np.array([[reversibility_measure(psi, h0, draw_perturbation(pert, m), t,
+                                                sys_, grid) for t in times]
+                         for m in range(100)])
+        assert_allclose(curve.mean_overlap, loop.mean(axis=0), rtol=0, atol=1e-12)
+        assert_allclose(curve.std_error, loop.std(axis=0, ddof=1) / 10, rtol=0, atol=1e-12)
 
     def test_sigma_zero_stays_at_one(self):
         sys_ = SpinSystem(3)
@@ -254,9 +274,29 @@ class TestAveragedQFormula:
                 qvals[i] = norm * np.abs(kernel.conj() @ out.amplitudes) ** 2
             mc_mean = qvals.mean(axis=0)
             mc_se = qvals.std(axis=0, ddof=1) / np.sqrt(n)
-            exact = averaged_q_formula(psi, h0, pert, t, sys_, grid, kernel)
+            exact = averaged_q_formula(psi, h0, pert, t, sys_, grid)
             dev = np.abs(mc_mean - exact)
             assert np.all(dev <= 5 * mc_se + 1e-12), f"t={t}"
+
+    def test_rotated_eigenbasis_matches_dense_oracle(self, rng):
+        sys_ = SpinSystem(6)
+        grid = SphereGrid.for_spin(sys_)
+        kernel = coherent_kernel(sys_, grid)
+        h0 = rotated_hamiltonian(sys_, rng)
+        pert = GaussianPerturbation(sigma=0.1, means=rng.uniform(-0.01, 0.01, sys_.dim),
+                                    seed=4, h0=h0)
+        psi = coherent_state(sys_, SolidAngle(2.0, 1.0))
+        u = h0.eigenbasis.entries
+        coeff = u.conj().T @ psi.amplitudes
+        ku = kernel.conj() @ u
+        norm = (2 * sys_.j + 1) / (4 * np.pi)
+        for t in (0.0, 7.0, 30.0):
+            damping = np.exp(-(pert.sigma * t) ** 2 / 2)
+            coherent = np.abs(ku @ (np.exp(1j * pert.means * t) * coeff)) ** 2
+            dephased = np.abs(ku) ** 2 @ np.abs(coeff) ** 2
+            oracle = norm * (damping * coherent + (1 - damping) * dephased)
+            got = averaged_q_formula(psi, h0, pert, t, sys_, grid)
+            assert np.max(np.abs(got - oracle)) <= 1e-12 * oracle.max()
 
     def test_reduces_to_plain_q_at_t0(self):
         sys_ = SpinSystem(5)

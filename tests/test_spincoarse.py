@@ -152,6 +152,28 @@ class TestQFunction:
         b = q_function(psi.density(), sys, grid).values
         assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("j", [10, 50])
+    @pytest.mark.parametrize("theta", [1.0, pi / 3])
+    def test_coherent_projector_matches_pure_route(self, j, theta):
+        # the dense route left roundoff negatives where Q is exponentially small
+        sys = SpinSystem(j)
+        grid = SphereGrid.for_spin(sys)
+        state = coherent_state(sys, SolidAngle(theta, 0.0))
+        a = q_function(state.density(), sys, grid).values
+        b = q_function_pure(state, sys, grid).values
+        assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_mixture_of_distant_coherent_states(self):
+        sys = SpinSystem(30)
+        grid = SphereGrid.for_spin(sys)
+        a = coherent_state(sys, SolidAngle(0.4, 1.0))
+        b = coherent_state(sys, SolidAngle(2.6, 4.0))
+        rho = OperatorMatrix(0.3 * a.density().entries + 0.7 * b.density().entries,
+                             kind="hermitian")
+        want = (0.3 * q_function_pure(a, sys, grid).values
+                + 0.7 * q_function_pure(b, sys, grid).values)
+        assert_allclose(q_function(rho, sys, grid).values, want, rtol=0, atol=1e-12)
+
     def test_normalization(self):
         sys = SpinSystem(10)
         grid = SphereGrid.for_spin(sys)
@@ -191,6 +213,67 @@ class TestQFunction:
         assert len(lines) == 1 + grid.size
 
 
+class TestSeparableRoute:
+    """q_function_pure evaluates |<Omega|psi>|^2 by one inverse DFT per
+    theta-row; the dense node x level kernel is the oracle."""
+
+    @pytest.mark.parametrize("j, n_theta, n_phi", [
+        (10, 22, 22),     # default grid
+        (20.5, 43, 43),   # half-integer spin: the e^{-ij phi} phase drops out
+        (7, 9, 31),       # n_theta != n_phi, n_phi > 2j + 2
+        (3.5, 12, 8),     # n_phi = 2j + 1, the fewest the order check admits
+    ])
+    def test_matches_dense_kernel(self, j, n_theta, n_phi, rng):
+        sys = SpinSystem(j)
+        grid = SphereGrid(n_theta, n_phi)
+        kernel = coherent_kernel(sys, grid)
+        states = [StateVector(random_state(rng, sys.dim)),
+                  coherent_state(sys, SolidAngle(0.0, 0.0)),
+                  coherent_state(sys, SolidAngle(pi, 0.0)),
+                  coherent_state(sys, SolidAngle(2.0, 4.0))]
+        for psi in states:
+            oracle = (2 * j + 1) / (4 * pi) * np.abs(kernel.conj() @ psi.amplitudes) ** 2
+            got = q_function_pure(psi, sys, grid).values
+            assert np.max(np.abs(got - oracle)) <= 1e-12 * oracle.max()
+
+
+class TestLargeSpin:
+    """j = 200 through the public calls: 402^2 nodes, 401 levels."""
+
+    J = 200
+
+    @pytest.fixture(scope="class")
+    def dicke_sums(self):
+        """Integral of each Dicke state's Q, and their node-wise sum."""
+        sys = SpinSystem(self.J)
+        grid = SphereGrid.for_spin(sys)
+        integrals, total = [], np.zeros(grid.size)
+        for k in range(sys.dim):
+            qf = q_function_pure(StateVector.basis(sys.dim, k), sys, grid)
+            integrals.append(qf.integral())
+            total += qf.values
+        return sys, grid, np.array(integrals), total
+
+    def test_dicke_norms(self, dicke_sums):
+        _, _, integrals, _ = dicke_sums
+        assert np.max(np.abs(integrals - 1.0)) < 1e-10
+
+    def test_completeness(self, dicke_sums):
+        # sum_m |<Omega|m>|^2 = 1 at every node
+        *_, total = dicke_sums
+        assert_allclose(total, (2 * self.J + 1) / (4 * pi), rtol=1e-12, atol=0)
+
+    def test_coherent_state_law(self, dicke_sums):
+        sys, grid, *_ = dicke_sums
+        omega = SolidAngle(1.2, 5.0)
+        qf = q_function_pure(coherent_state(sys, omega), sys, grid)
+        cos_gamma = (np.cos(grid.thetas) * np.cos(omega.theta) + np.sin(grid.thetas)
+                     * np.sin(omega.theta) * np.cos(grid.phis - omega.phi))
+        peak = (2 * self.J + 1) / (4 * pi)
+        law = peak * ((1 + cos_gamma) / 2) ** (2 * self.J)
+        assert np.max(np.abs(qf.values - law)) < 1e-10 * peak
+
+
 class TestPovmElement:
     def test_full_sphere_is_identity(self):
         sys = SpinSystem(7)
@@ -205,7 +288,7 @@ class TestPovmElement:
         kernel = coherent_kernel(sys, grid)
         cap = CapRegion(SolidAngle(0.6, 1.0), angular_radius=1.2)
         inside = cap.contains(grid.thetas, grid.phis)
-        p_in = povm_element(sys, cap, grid, kernel).entries
+        p_in = povm_element(sys, cap, grid).entries
         # complement built node-by-node from the same kernel
         k_out = kernel[~inside]
         w_out = grid.weights[~inside]
@@ -217,14 +300,13 @@ class TestPovmElement:
         j = 10
         sys = SpinSystem(j)
         grid = SphereGrid.for_spin(sys)
-        kernel = coherent_kernel(sys, grid)
         region = CapRegion(SolidAngle(pi / 3, 0.5), angular_radius=0.8)
-        p = povm_element(sys, region, grid, kernel)
+        p = povm_element(sys, region, grid)
         inside = region.contains(grid.thetas, grid.phis)
         for _ in range(20):
             rho = random_density(rng, sys.dim)
             lhs = float(np.real(np.trace(rho @ p.entries)))
-            qf = q_function(OperatorMatrix(rho, kind="hermitian"), sys, grid, kernel)
+            qf = q_function(OperatorMatrix(rho, kind="hermitian"), sys, grid)
             rhs = float(np.sum(grid.weights[inside] * qf.values[inside]))
             assert_allclose(lhs, rhs, atol=1e-8)
 
@@ -273,12 +355,11 @@ class TestBhattacharyya:
     def test_dominates_quantum_overlap(self, rng):
         sys = SpinSystem(10)
         grid = SphereGrid.for_spin(sys)
-        kernel = coherent_kernel(sys, grid)
         for _ in range(100):
             s1 = StateVector(random_state(rng, sys.dim))
             s2 = StateVector(random_state(rng, sys.dim))
-            macro = bhattacharyya(q_function_pure(s1, sys, grid, kernel),
-                                  q_function_pure(s2, sys, grid, kernel))
+            macro = bhattacharyya(q_function_pure(s1, sys, grid),
+                                  q_function_pure(s2, sys, grid))
             assert macro >= abs(s1.overlap(s2)) - 1e-10
 
     def test_symmetry(self, rng):
@@ -325,15 +406,14 @@ class TestMacroscopicRobustness:
         j = 50
         sys = SpinSystem(j)
         grid = SphereGrid.for_spin(sys)
-        kernel = coherent_kernel(sys, grid)
         state = coherent_state(sys, SolidAngle(pi / 3, 0.0))
-        q_before = q_function_pure(state, sys, grid, kernel)
+        q_before = q_function_pure(state, sys, grid)
         weights = np.abs(state.amplitudes) ** 2
 
         def flip_drop(index):
             flipped = state.amplitudes.copy()
             flipped[index] *= -1.0
-            q_after = q_function_pure(StateVector(flipped), sys, grid, kernel)
+            q_after = q_function_pure(StateVector(flipped), sys, grid)
             return 1.0 - bhattacharyya(q_before, q_after)
 
         boundary = np.where(weights < 1 / j)[0]
@@ -345,5 +425,5 @@ class TestMacroscopicRobustness:
         assert flip_drop(int(tail_idx)) < 1e-3
 
         antipode = coherent_state(sys, SolidAngle(pi - pi / 3, pi))
-        q_anti = q_function_pure(antipode, sys, grid, kernel)
+        q_anti = q_function_pure(antipode, sys, grid)
         assert bhattacharyya(q_before, q_anti) < 0.01
