@@ -266,7 +266,8 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray):
     is one length-n_phi inverse DFT of d(theta) * psi, and the phase
     e^{-ij phi} drops out of |.|^2 (Driscoll & Healy, Adv. Appl. Math. 15,
     1994). Yields (slice of `states`, overlaps of shape (rows, nodes)) for
-    consecutive chunks of at most OVERLAP_CHUNK_BYTES of complex overlaps.
+    consecutive chunks of as many states as fit in OVERLAP_CHUNK_BYTES of
+    complex overlaps, at least one.
     """
     # the order check guarantees n_phi >= 2j+1; below that ifft would silently
     # truncate the m-sum instead of raising
