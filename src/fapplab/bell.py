@@ -8,7 +8,7 @@ classical ceiling of the CHSH expression.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,11 +46,13 @@ class MacroObservable:
     """Plus/minus-one valued observable supported on the two-branch span.
 
     The operator annihilates the orthogonal complement of span{up, down}, so
-    its spectrum is {+1, -1} on the span and 0 elsewhere.
+    its spectrum is {+1, -1} on the span and 0 elsewhere. One eigendecomposition
+    at construction validates that spectrum and yields the outcome projectors.
     """
 
     matrix: OperatorMatrix
     label: str
+    _projectors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix.entries
@@ -58,7 +60,7 @@ class MacroObservable:
             raise ValueError(f"observable must act on dimension {LAB_DIM}")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise ToleranceError("observable must be Hermitian")
-        evals = np.linalg.eigvalsh(m)
+        evals, vecs = np.linalg.eigh(m)
         dist = np.min(np.abs(evals[:, None] - np.array([-1.0, 0.0, 1.0])[None, :]), axis=1)
         if np.max(dist) > EIGENVALUE_TOL:
             raise ToleranceError("observable eigenvalues must lie in {-1, 0, +1}")
@@ -66,35 +68,41 @@ class MacroObservable:
         n_minus = int(np.sum(np.abs(evals + 1.0) < EIGENVALUE_TOL))
         if n_plus != 1 or n_minus != 1:
             raise ToleranceError("observable must have exactly one +1 and one -1 eigenvalue")
+        projectors = {}
+        for value in (1, -1, 0):
+            cols = vecs[:, np.abs(evals - value) < EIGENVALUE_TOL]
+            projectors[value] = cols @ cols.conj().T
+            projectors[value].setflags(write=False)
+        object.__setattr__(self, "_projectors", projectors)
 
     def outcome_projectors(self) -> dict:
-        """Spectral projectors for outcomes +1, -1, 0 (used for sampling)."""
-        evals, vecs = np.linalg.eigh(self.matrix.entries)
-        out = {}
-        for value in (1.0, -1.0, 0.0):
-            cols = vecs[:, np.abs(evals - value) < EIGENVALUE_TOL]
-            out[int(value)] = cols @ cols.conj().T
-        return out
+        """Read-only spectral projectors for outcomes +1, -1, 0 (used for sampling)."""
+        return dict(self._projectors)
+
+
+def _branch_matrices(basis: LaboratoryBasis):
+    """Z- and X-analogue matrices |up><up| - |down><down| and |up><down| + |down><up|."""
+    up, down = basis.up_state.amplitudes, basis.down_state.amplitudes
+    z = np.outer(up, up.conj()) - np.outer(down, down.conj())
+    x = np.outer(up, down.conj()) + np.outer(down, up.conj())
+    return z, x
 
 
 def branch_projection_observable(basis: LaboratoryBasis) -> MacroObservable:
     """Z-analogue: +1 on the recorded-up branch, -1 on the recorded-down branch."""
-    up, down = basis.up_state.amplitudes, basis.down_state.amplitudes
-    m = np.outer(up, up.conj()) - np.outer(down, down.conj())
-    return MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"), label="Z")
+    z, _ = _branch_matrices(basis)
+    return MacroObservable(matrix=OperatorMatrix(z, kind="hermitian"), label="Z")
 
 
 def interference_observable(basis: LaboratoryBasis) -> MacroObservable:
     """X-analogue: branch-swap observable, +1/-1 on the superposition outputs."""
-    up, down = basis.up_state.amplitudes, basis.down_state.amplitudes
-    m = np.outer(up, down.conj()) + np.outer(down, up.conj())
-    return MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"), label="X")
+    _, x = _branch_matrices(basis)
+    return MacroObservable(matrix=OperatorMatrix(x, kind="hermitian"), label="X")
 
 
 def rotated_observable(basis: LaboratoryBasis, angle: float) -> MacroObservable:
     """cos(angle) * Z + sin(angle) * X within the branch span."""
-    z = branch_projection_observable(basis).matrix.entries
-    x = interference_observable(basis).matrix.entries
+    z, x = _branch_matrices(basis)
     m = np.cos(angle) * z + np.sin(angle) * x
     return MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"),
                            label=f"custom({angle})")

@@ -117,11 +117,8 @@ def draw_perturbation(pert: GaussianPerturbation, index: int) -> OperatorMatrix:
     """Perturbation operator of one ensemble member, diagonal in the H0 eigenbasis."""
     values = pert.draw_values(index)
     u = pert.h0.eigenbasis.entries
-    if np.allclose(u, np.eye(u.shape[0])):
-        mat = np.diag(values.astype(complex))
-    else:
-        mat = (u * values) @ u.conj().T
-        mat = 0.5 * (mat + mat.conj().T)
+    mat = (u * values) @ u.conj().T
+    mat = 0.5 * (mat + mat.conj().T)
     return OperatorMatrix(mat, kind="hermitian")
 
 

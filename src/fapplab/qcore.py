@@ -113,15 +113,6 @@ class OperatorMatrix:
     def identity(cls, dim: int) -> "OperatorMatrix":
         return cls(np.eye(dim), kind="projector")
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, kind=self.kind)
-
-    def apply(self, psi: StateVector) -> StateVector:
-        """Matrix-vector product; renormalization is the caller's business."""
-        if psi.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {psi.dim}")
-        return StateVector(self.entries @ psi.amplitudes, normalize=True)
-
     def is_density(self, tol: float = 1e-10) -> bool:
         m = self.entries
         if np.max(np.abs(m - m.conj().T)) > tol:

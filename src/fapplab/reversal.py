@@ -10,8 +10,8 @@ The concrete flow is the symmetrized (split-kick) standard map
 
     p += (K/2) sin q;  q += p;  p += (K/2) sin q      (all mod 2pi)
 
-which is area-preserving, has a closed-form inverse, and satisfies the
-momentum-flip involution identity pi f pi = f^{-1} exactly.
+which is area-preserving; its inverse is the momentum-flip conjugate
+pi f pi = f^{-1}, so the reversal protocol needs only the forward step.
 """
 
 from __future__ import annotations
@@ -50,30 +50,26 @@ class ReversibleMap:
         if self.kick_strength < 0:
             raise ValueError("kick strength must be non-negative")
 
-    def step_arrays(self, q, p, direction: str = "forward"):
-        """One map step on coordinate arrays (vectorized Monte-Carlo core)."""
+    def evolve_arrays(self, q, p, steps: int):
+        """`steps` map steps on coordinate arrays (the vectorized Monte-Carlo core).
+
+        This is the one definition of the step. The trailing half-kick of a
+        step and the leading half-kick of the next read the same sin(q), so
+        each step evaluates one sine.
+        """
         half_kick = 0.5 * self.kick_strength
-        if direction == "forward":
-            p = (p + half_kick * np.sin(q)) % TWO_PI
-            q = (q + p) % TWO_PI
-            p = (p + half_kick * np.sin(q)) % TWO_PI
-        elif direction == "backward":
-            p = (p - half_kick * np.sin(q)) % TWO_PI
-            q = (q - p) % TWO_PI
-            p = (p - half_kick * np.sin(q)) % TWO_PI
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
-        return q, p
-
-    def evolve_arrays(self, q, p, steps: int, direction: str = "forward"):
+        kick = half_kick * np.sin(q)
         for _ in range(steps):
-            q, p = self.step_arrays(q, p, direction)
+            p = (p + kick) % TWO_PI
+            q = (q + p) % TWO_PI
+            kick = half_kick * np.sin(q)
+            p = (p + kick) % TWO_PI
         return q, p
 
 
-def step(mapping: ReversibleMap, x: PhasePoint, direction: str = "forward") -> PhasePoint:
+def step(mapping: ReversibleMap, x: PhasePoint) -> PhasePoint:
     """Single map step on one phase point."""
-    q, p = mapping.step_arrays(np.float64(x.q), np.float64(x.p), direction)
+    q, p = mapping.evolve_arrays(np.float64(x.q), np.float64(x.p), 1)
     return PhasePoint(float(q), float(p))
 
 
@@ -148,45 +144,41 @@ def reversal_probability(cfg: ReversalConfig) -> ReversalResult:
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     q, p = cfg.region.sample(rng, cfg.samples)
-    q, p = cfg.map.evolve_arrays(q, p, cfg.steps, "forward")
+    q, p = cfg.map.evolve_arrays(q, p, cfg.steps)
     p = (-p) % TWO_PI
     perturbed = ReversibleMap(cfg.perturbed_kick)
-    q, p = perturbed.evolve_arrays(q, p, cfg.steps, "forward")
+    q, p = perturbed.evolve_arrays(q, p, cfg.steps)
     p = (-p) % TWO_PI
     hits = int(np.count_nonzero(cfg.region.contains(q, p)))
     prob = hits / cfg.samples
     std_error = float(np.sqrt(prob * (1 - prob) / cfg.samples))
-    lam = lyapunov(cfg.map, seed=_derived_seed(cfg.seed, 1))
+    lam = lyapunov(cfg.map, seed=np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     return ReversalResult(probability=prob, std_error=std_error,
                           lyapunov_estimate=lam, bound=bound(lam, cfg.steps))
-
-
-def _derived_seed(seed: int, stream: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
 
 
 def lyapunov(mapping: ReversibleMap, steps: int = 4000, transient: int = 100,
              seed=0, n_init: int = 32) -> float:
     """Largest Lyapunov exponent by tangent-map iteration with renormalization,
     averaged over random initial points. Non-chaotic regimes give ~0.
+    `seed` is anything `np.random.default_rng` accepts.
     """
     if steps < 1000:
         raise ValueError("need at least 1e3 tangent-map steps")
     if n_init < 32:
         raise ValueError("need at least 32 initial points")
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
+    rng = np.random.default_rng(seed)
     half_kick = 0.5 * mapping.kick_strength
     start = rng.uniform(0.0, TWO_PI, (n_init, 2))  # row-wise draws keep the RNG order
-    q, p = mapping.evolve_arrays(start[:, 0], start[:, 1], transient, "forward")
+    q, p = mapping.evolve_arrays(start[:, 0], start[:, 1], transient)
     v0, v1 = np.ones(n_init), np.zeros(n_init)
     acc = np.zeros(n_init)
+    c2 = half_kick * np.cos(q)
     for _ in range(steps):
-        # tangent map J = J_kick(q_new) @ J_drift @ J_kick(q), multiplied out
-        c1 = half_kick * np.cos(q)
-        q, p = mapping.step_arrays(q, p, "forward")
+        # tangent map J = J_kick(q_new) @ J_drift @ J_kick(q), multiplied out;
+        # the new kick's slope is the next step's old one
+        c1 = c2
+        q, p = mapping.evolve_arrays(q, p, 1)
         c2 = half_kick * np.cos(q)
         v0, v1 = (v0 + v1 + c1 * v0,
                   c2 * (v0 + v1 + c1 * v0) + c1 * v0 + v1)

@@ -80,6 +80,20 @@ class TestMacroObservable:
         with pytest.raises(ToleranceError):
             MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"), label="bad")
 
+    def test_outcome_projectors_are_stored_read_only(self, basis):
+        obs = rotated_observable(basis, 0.7)
+        first = obs.outcome_projectors()
+        first[1] = np.zeros((LAB_DIM, LAB_DIM))
+        second, third = obs.outcome_projectors(), obs.outcome_projectors()
+        assert sorted(second) == [-1, 0, 1]
+        for value, proj in second.items():
+            assert np.array_equal(proj, third[value])
+            assert not proj.flags.writeable
+            with pytest.raises(ValueError):
+                proj[0, 0] = 1.0
+        assert np.max(np.abs(sum(second.values()) - np.eye(LAB_DIM))) < 1e-12
+        assert np.max(np.abs(second[1] - second[-1] - obs.matrix.entries)) < 1e-12
+
     def test_anticommutator_vanishes_on_span(self, basis):
         z = branch_projection_observable(basis).matrix.entries
         x = interference_observable(basis).matrix.entries

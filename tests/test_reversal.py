@@ -19,6 +19,22 @@ def make_config(**overrides):
     return ReversalConfig(**defaults)
 
 
+def backward_step(kick, q, p):
+    """Closed-form inverse of one kick-drift-kick step (test oracle)."""
+    p = (p - 0.5 * kick * np.sin(q)) % TWO_PI
+    q = (q - p) % TWO_PI
+    p = (p - 0.5 * kick * np.sin(q)) % TWO_PI
+    return q, p
+
+
+def unfused_step(kick, q, p):
+    """One kick-drift-kick step with two sine evaluations (test oracle)."""
+    p = (p + 0.5 * kick * np.sin(q)) % TWO_PI
+    q = (q + p) % TWO_PI
+    p = (p + 0.5 * kick * np.sin(q)) % TWO_PI
+    return q, p
+
+
 class TestPhasePoint:
     def test_modular_reduction(self):
         pt = PhasePoint(7.0, -1.0)
@@ -40,12 +56,30 @@ class TestStep:
         assert out.q == pytest.approx(1.5, abs=1e-15)
         assert out.p == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("kick", [6.0, 0.3])
+    @pytest.mark.parametrize("steps", [1, 50])
+    def test_evolve_equals_unfused_steps(self, rng, kick, steps):
+        # sharing one sine between adjacent half-kicks must not move a bit
+        q = rng.uniform(0, TWO_PI, 10000)
+        p = rng.uniform(0, TWO_PI, 10000)
+        qf, pf = ReversibleMap(kick).evolve_arrays(q, p, steps)
+        for _ in range(steps):
+            q, p = unfused_step(kick, q, p)
+        assert np.array_equal(qf, q)
+        assert np.array_equal(pf, p)
+
+    def test_step_is_one_evolve_step(self, rng):
+        m = ReversibleMap(6.0)
+        for q, p in rng.uniform(0, TWO_PI, (100, 2)):
+            q1, p1 = m.evolve_arrays(np.float64(q), np.float64(p), 1)
+            assert step(m, PhasePoint(q, p)) == PhasePoint(float(q1), float(p1))
+
     def test_backward_inverts_forward(self, rng):
         m = ReversibleMap(6.0)
         q = rng.uniform(0, TWO_PI, 10000)
         p = rng.uniform(0, TWO_PI, 10000)
-        q1, p1 = m.step_arrays(q.copy(), p.copy(), "forward")
-        q2, p2 = m.step_arrays(q1, p1, "backward")
+        q1, p1 = m.evolve_arrays(q, p, 1)
+        q2, p2 = backward_step(6.0, q1, p1)
         assert np.max(np.abs(q2 - q)) < 1e-12
         assert np.max(np.abs(p2 - p)) < 1e-12
 
@@ -54,17 +88,13 @@ class TestStep:
         m = ReversibleMap(6.0)
         q = rng.uniform(0, TWO_PI, 10000)
         p = rng.uniform(0, TWO_PI, 10000)
-        qc, pc = m.step_arrays(q.copy(), (-p) % TWO_PI, "forward")
+        qc, pc = m.evolve_arrays(q, (-p) % TWO_PI, 1)
         pc = (-pc) % TWO_PI
-        qb, pb = m.step_arrays(q.copy(), p.copy(), "backward")
+        qb, pb = backward_step(6.0, q, p)
         dq = np.abs((qc - qb + np.pi) % TWO_PI - np.pi)
         dp = np.abs((pc - pb + np.pi) % TWO_PI - np.pi)
         assert np.max(dq) < 1e-12
         assert np.max(dp) < 1e-12
-
-    def test_unknown_direction(self):
-        with pytest.raises(ValueError):
-            step(ReversibleMap(1.0), PhasePoint(0, 0), "sideways")
 
 
 class TestAreaPreservation:
@@ -157,6 +187,12 @@ class TestLyapunov:
         assert lam6 == pytest.approx(np.log(3.0), abs=0.15)
         lam10 = lyapunov(ReversibleMap(10.0), steps=3000, seed=5)
         assert lam10 == pytest.approx(np.log(5.0), abs=0.10)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_int_seed_equals_its_seed_sequence(self, seed):
+        m = ReversibleMap(6.0)
+        assert (lyapunov(m, steps=1000, seed=seed)
+                == lyapunov(m, steps=1000, seed=np.random.SeedSequence(entropy=seed)))
 
     def test_minimum_effort_enforced(self):
         with pytest.raises(ValueError):
