@@ -39,6 +39,13 @@ CASES = {
     "echo": ("echo", 99, {"j": "3", "ensemble": "100", "times": "0,5,10"}),
     "friend-observer3": ("friend", 99, {"observer_dim": "3"}),
     "bell-sampled": ("bell", 3, {"sampled": "true", "shots": "2000"}),
+    # 40000 samples span three map-kernel chunks, the last one ragged
+    "classical-reverse-chunks": ("classical-reverse", 99,
+                                 {"t_values": "3,6", "samples": "40000"}),
+    # K = 14 >= 4pi takes the np.remainder fallback of the map kernel
+    "classical-reverse-strong": ("classical-reverse", 99,
+                                 {"kick": "14", "delta_kick": "0.5", "samples": "2000",
+                                  "t_values": "3,6"}),
 }
 
 
