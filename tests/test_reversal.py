@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fapplab import reversal
 from fapplab.reversal import (TWO_PI, CellRegion, PhasePoint, ReversalConfig,
-                              ReversibleMap, bound, involution, lyapunov,
+                              ReversibleMap, _wrap, bound, involution, lyapunov,
                               reversal_probability, step)
 
 
@@ -33,6 +34,155 @@ def unfused_step(kick, q, p):
     q = (q + p) % TWO_PI
     p = (p + 0.5 * kick * np.sin(q)) % TWO_PI
     return q, p
+
+
+def reference_lyapunov(kick, steps, seed, transient=100, n_init=32):
+    """`lyapunov` as it was before the in-place kernel: unfused np.remainder
+    steps and a tangent update that builds new arrays (test oracle)."""
+    rng = np.random.default_rng(seed)
+    half_kick = 0.5 * kick
+    start = rng.uniform(0.0, TWO_PI, (n_init, 2))
+    q, p = start[:, 0], start[:, 1]
+    for _ in range(transient):
+        q, p = unfused_step(kick, q, p)
+    v0, v1 = np.ones(n_init), np.zeros(n_init)
+    acc = np.zeros(n_init)
+    c2 = half_kick * np.cos(q)
+    for _ in range(steps):
+        c1 = c2
+        q, p = unfused_step(kick, q, p)
+        c2 = half_kick * np.cos(q)
+        v0, v1 = (v0 + v1 + c1 * v0,
+                  c2 * (v0 + v1 + c1 * v0) + c1 * v0 + v1)
+        norm = np.hypot(v0, v1)
+        acc += np.log(norm)
+        v0, v1 = v0 / norm, v1 / norm
+    total = 0.0
+    for a in acc:
+        total += a / steps
+    return total / n_init
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestWrap:
+    """`_wrap` must give exactly the bits of np.remainder on [-2pi, 4pi]."""
+
+    def wrapped(self, x):
+        x = np.array(x, dtype=float)
+        _wrap(x)
+        return x
+
+    def test_edge_values(self):
+        pi = np.pi
+        points = [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17]
+        for v in (-TWO_PI, pi, TWO_PI, 3 * pi, 2 * TWO_PI):
+            points += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+        x = np.array(points)
+        x = x[(x >= -TWO_PI) & (x <= 2 * TWO_PI)]  # the outer neighbours of -2pi and 4pi
+        assert x.size == len(points) - 2
+        assert_same_bits(self.wrapped(x), np.remainder(x, TWO_PI))
+
+    def test_special_results(self):
+        # -0.0 becomes +0.0, 4pi becomes +0, tiny negatives round up to 2pi
+        assert_same_bits(self.wrapped([-0.0, 2 * TWO_PI, -1e-17]), [0.0, 0.0, TWO_PI])
+
+    def test_uniform_draws(self, rng):
+        x = rng.uniform(-TWO_PI, 2 * TWO_PI, 1_000_000)
+        assert_same_bits(self.wrapped(x), np.remainder(x, TWO_PI))
+
+    def test_domain_is_needed(self):
+        # just below -2pi one add is not enough: the map kernel must not wrap there
+        x = np.nextafter(-TWO_PI, -np.inf)
+        assert self.wrapped(x) != np.remainder(x, TWO_PI)
+
+
+class TestEvolveArrays:
+    """The in-place chunked kernel against unfused np.remainder steps."""
+
+    @pytest.fixture
+    def wrap_calls(self, monkeypatch):
+        calls = []
+
+        def counting_wrap(x):
+            calls.append(x.size)
+            _wrap(x)
+
+        monkeypatch.setattr(reversal, "_wrap", counting_wrap)
+        return calls
+
+    @pytest.mark.parametrize("kick", [0.0, 0.3, 6.0, 12.5, 2 * TWO_PI, 20.0])
+    def test_chunks_equal_unfused_steps(self, rng, wrap_calls, kick):
+        # 40000 points make three chunks, the last one ragged; 0 and exactly
+        # 2pi are legal inputs
+        q = rng.uniform(0, TWO_PI, 40000)
+        p = rng.uniform(0, TWO_PI, 40000)
+        q[:3], p[:3] = [0.0, TWO_PI, 0.0], [TWO_PI, 0.0, 0.0]
+        q_in, p_in = q.copy(), p.copy()
+        qf, pf = ReversibleMap(kick).evolve_arrays(q, p, 7)
+        assert_same_bits(q, q_in)  # the caller's arrays are untouched
+        assert_same_bits(p, p_in)
+        for _ in range(7):
+            q, p = unfused_step(kick, q, p)
+        assert_same_bits(qf, q)
+        assert_same_bits(pf, p)
+        assert bool(wrap_calls) == (kick < 2 * TWO_PI)  # K >= 4pi falls back
+
+    def test_out_of_range_inputs_fall_back(self, rng, wrap_calls):
+        q = rng.uniform(0, TWO_PI, 1000)
+        p = rng.uniform(0, TWO_PI, 1000)
+        q[10], p[20] = 7.0, -1.0
+        qf, pf = ReversibleMap(6.0).evolve_arrays(q, p, 5)
+        assert q[10] == 7.0 and p[20] == -1.0
+        for _ in range(5):
+            q, p = unfused_step(6.0, q, p)
+        assert_same_bits(qf, q)
+        assert_same_bits(pf, p)
+        assert not wrap_calls
+
+    def test_nan_falls_back(self, wrap_calls):
+        qf, pf = ReversibleMap(6.0).evolve_arrays(np.array([1.0, 2.0]),
+                                                  np.array([np.nan, 3.0]), 2)
+        assert np.isnan(qf[0]) and np.isnan(pf[0])
+        assert not wrap_calls
+
+    def test_zero_d_inputs(self):
+        qf, pf = ReversibleMap(6.0).evolve_arrays(np.float64(1.0), np.float64(2.0), 3)
+        q, p = np.float64(1.0), np.float64(2.0)
+        for _ in range(3):
+            q, p = unfused_step(6.0, q, p)
+        assert qf.shape == () and pf.shape == ()
+        assert (float(qf), float(pf)) == (q, p)
+
+    def test_empty_inputs(self):
+        qf, pf = ReversibleMap(6.0).evolve_arrays(np.empty(0), np.empty(0), 3)
+        assert qf.shape == (0,) and pf.shape == (0,)
+
+    def test_zero_steps_copies(self, rng):
+        q = rng.uniform(0, TWO_PI, 10)
+        p = rng.uniform(0, TWO_PI, 10)
+        qf, pf = ReversibleMap(6.0).evolve_arrays(q, p, 0)
+        assert_same_bits(qf, q)
+        assert qf is not q and pf is not p
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("kick", [np.nan, np.inf])
+    def test_map(self, kick):
+        with pytest.raises(ValueError):
+            ReversibleMap(kick)
+
+    @pytest.mark.parametrize("kick", [np.nan, np.inf])
+    def test_perturbed_kick(self, kick):
+        with pytest.raises(ValueError):
+            make_config(perturbed_kick=kick)
+
+    def test_cell_half_width(self):
+        with pytest.raises(ValueError):
+            CellRegion(center=PhasePoint(3.0, 2.0), half_width=np.nan)
 
 
 class TestPhasePoint:
@@ -193,6 +343,13 @@ class TestLyapunov:
         m = ReversibleMap(6.0)
         assert (lyapunov(m, steps=1000, seed=seed)
                 == lyapunov(m, steps=1000, seed=np.random.SeedSequence(entropy=seed)))
+
+    @pytest.mark.parametrize("kick", [0.3, 6.0, 14.0])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_reference_loop(self, kick, seed):
+        # the in-place kernel and tangent update must not move a bit
+        assert lyapunov(ReversibleMap(kick), steps=1000, seed=seed) == \
+            reference_lyapunov(kick, 1000, seed)
 
     def test_minimum_effort_enforced(self):
         with pytest.raises(ValueError):
