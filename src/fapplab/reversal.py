@@ -133,7 +133,7 @@ class CellRegion:
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width > 0:
+        if not self.half_width > 0:  # NaN fails too
             raise ValueError("cell half-width must be positive")
         if (2 * self.half_width) ** 2 >= TWO_PI ** 2:
             raise ValueError("cell area must be smaller than the torus")
