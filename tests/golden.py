@@ -46,6 +46,12 @@ CASES = {
     "classical-reverse-strong": ("classical-reverse", 99,
                                  {"kick": "14", "delta_kick": "0.5", "samples": "2000",
                                   "t_values": "3,6"}),
+    # 150 members on the 42 x 42 grid of j = 20 span several overlap chunks,
+    # the last one ragged
+    "echo-chunks": ("echo", 99, {"j": "20", "ensemble": "150"}),
+    # sigma = 0: every member is the same state at every time; std_error reads
+    # ~1e-16, not 0, the spread of identical values around their rounded mean
+    "echo-bypass": ("echo", 99, {"j": "5", "ensemble": "100", "sigma_scale": "0"}),
 }
 
 
