@@ -209,7 +209,9 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     Q-function is `averaged_q_formula`. Member states are pure phase profiles
     (e^{iVt} * c) in the eigenbasis; for each time the whole ensemble goes
     through the separable Q evaluation in chunks, one Bhattacharyya value per
-    member.
+    member, reduced in place in the chunk's scratch overlaps. When every
+    member equals the first, as at t = 0 or with sigma below SIGMA_BYPASS, one
+    member is evaluated and its value copied to all.
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
@@ -227,8 +229,15 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     overlaps = np.empty((ensemble_size, times.size))
     for it, t in enumerate(times):
         members = (np.exp(1j * values * t) * coeff) @ u.T
-        for chunk, q_after in _node_overlaps(sys, grid, members):
-            overlaps[chunk, it] = np.sum(weighted_before * np.sqrt(norm * q_after), axis=1)
+        # all members are one state at t = 0, and at every t when sigma < SIGMA_BYPASS
+        same = bool(np.all(members == members[0]))
+        for chunk, q_after in _node_overlaps(sys, grid, members[:1] if same else members):
+            q_after *= norm
+            np.sqrt(q_after, out=q_after)
+            q_after *= weighted_before
+            overlaps[chunk, it] = np.sum(q_after, axis=1)
+        if same:
+            overlaps[1:, it] = overlaps[0, it]
     np.clip(overlaps, 0.0, 1.0, out=overlaps)
 
     mean = overlaps.mean(axis=0)

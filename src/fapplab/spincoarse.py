@@ -20,7 +20,10 @@ MAX_J = 500  # binomials are evaluated in log space; beyond this we refuse
 MAX_GRID_AXIS = 2 * MAX_J + 2  # nodes per axis of the default grid of the largest spin
 Q_NORM_TOL = 1e-8
 BHATTACHARYYA_EXCESS_TOL = 1e-8
-OVERLAP_CHUNK_BYTES = 8 * 2**20  # complex node overlaps held at once; bounds peak memory
+# complex node overlaps held at once, which bounds the peak memory of a Q
+# evaluation; 512 KiB (768 KiB of chunk buffers with the real |.|^2) was the
+# fastest echo budget between 128 KiB and 8 MiB on a core with 4 MiB of L2
+OVERLAP_CHUNK_BYTES = 512 * 2**10
 MACRO_WIDTH_FACTOR = 5.0  # operational reading of "z-width well above sqrt(j)"
 
 
@@ -268,17 +271,30 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray):
     1994). Yields (slice of `states`, overlaps of shape (rows, nodes)) for
     consecutive chunks of as many states as fit in OVERLAP_CHUNK_BYTES of
     complex overlaps, at least one.
+
+    One zero-padded complex buffer and one real buffer serve every chunk: the
+    yielded overlaps are scratch space that the next chunk overwrites, so a
+    caller copies or reduces them before it resumes the generator, and may
+    reduce them in place. A caller that skips rows equal to others under
+    `==` loses nothing: +0 and -0 compare equal, and the sign of a zero
+    cannot change |<Omega|psi>|^2.
     """
     # the order check guarantees n_phi >= 2j+1; below that ifft would silently
     # truncate the m-sum instead of raising
     _check_order(sys, grid)
     table = _coherent_amplitudes(sys, grid.thetas[::grid.n_phi], 0).real
-    step = max(1, OVERLAP_CHUNK_BYTES // (16 * grid.size))
+    step = max(1, min(len(states), OVERLAP_CHUNK_BYTES // (16 * grid.size)))
+    padded = np.zeros((step, grid.n_theta, grid.n_phi), dtype=complex)
+    overlaps = np.empty((step, grid.size))
     for start in range(0, len(states), step):
         chunk = slice(start, start + step)
-        rows = np.fft.ifft(table * states[chunk, None, :], n=grid.n_phi, axis=-1,
-                           norm="forward")
-        yield chunk, (np.abs(rows) ** 2).reshape(-1, grid.size)
+        block = states[chunk]
+        rows, out = padded[:len(block)], overlaps[:len(block)]
+        np.multiply(table, block[:, None, :], out=rows[..., :sys.dim])
+        rows[..., sys.dim:] = 0.0  # the previous chunk's transform overwrote the padding
+        np.fft.ifft(rows, axis=-1, norm="forward", out=rows)
+        np.abs(rows.reshape(len(block), -1), out=out)
+        yield chunk, np.square(out, out=out)
 
 
 def _mixture_q(sys: SpinSystem, grid: SphereGrid, weights: np.ndarray,

@@ -26,3 +26,20 @@ def random_density(rng, dim, rank=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def reference_node_overlaps(sys, grid, states, chunk_bytes=8 * 2**20):
+    """The overlap kernel as it was before its buffers were reused: fresh
+    arrays per chunk, a zero-padding `ifft(n=n_phi)` and an 8 MiB budget.
+
+    Kept as the bit-level reference for `spincoarse._node_overlaps`.
+    """
+    from fapplab.spincoarse import _check_order, _coherent_amplitudes
+    _check_order(sys, grid)
+    table = _coherent_amplitudes(sys, grid.thetas[::grid.n_phi], 0).real
+    step = max(1, chunk_bytes // (16 * grid.size))
+    for start in range(0, len(states), step):
+        chunk = slice(start, start + step)
+        rows = np.fft.ifft(table * states[chunk, None, :], n=grid.n_phi, axis=-1,
+                           norm="forward")
+        yield chunk, (np.abs(rows) ** 2).reshape(-1, grid.size)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fapplab import echo as echo_mod
+from fapplab import spincoarse
 from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, StateVector
 from fapplab.spincoarse import (SolidAngle, SphereGrid, SpinSystem,
@@ -10,7 +14,7 @@ from fapplab.echo import (EchoCurve, GaussianPerturbation, SpectralHamiltonian,
                           averaged_q_formula, combined_evolution, draw_perturbation,
                           echo_experiment, reversibility_measure)
 
-from conftest import random_state
+from conftest import random_state, reference_node_overlaps
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +255,108 @@ class TestEchoExperiment:
         sys_, grid, h0, pert, psi, _ = echo_run
         with pytest.raises(ValueError):
             echo_experiment(psi, h0, pert, [0.0, 1.0], 50, sys_, grid)
+
+
+def reference_echo(psi, h0, pert, times, ensemble_size, sys_, grid):
+    """echo_experiment's member loop as it was before the in-place reduction
+    and the equal-member shortcut: every member of every time through the
+    allocate-per-chunk reference kernel."""
+    q_before = q_function_pure(psi, sys_, grid)
+    weighted_before = grid.weights * np.sqrt(q_before.values)
+    u = h0.eigenbasis.entries
+    coeff = u.conj().T @ psi.amplitudes
+    norm = (2 * sys_.j + 1) / (4 * np.pi)
+    values = np.array([pert.draw_values(member) for member in range(ensemble_size)])
+    overlaps = np.empty((ensemble_size, times.size))
+    for it, t in enumerate(times):
+        members = (np.exp(1j * values * t) * coeff) @ u.T
+        for chunk, q_after in reference_node_overlaps(sys_, grid, members):
+            overlaps[chunk, it] = np.sum(weighted_before * np.sqrt(norm * q_after), axis=1)
+    np.clip(overlaps, 0.0, 1.0, out=overlaps)
+    return overlaps.mean(axis=0), overlaps.std(axis=0, ddof=1) / np.sqrt(ensemble_size)
+
+
+class TestEchoBuffers:
+    """The in-place member reduction and the one-member shortcut keep the bits
+    of the reference loop, at every chunk budget."""
+
+    J = 12
+    ENSEMBLE = 100
+
+    @pytest.fixture(params=["identity-with-0", "identity-sparse", "rotated-with-0",
+                            "rotated-without-0", "sigma-0"])
+    def setup(self, request):
+        sys_ = SpinSystem(self.J)
+        grid = SphereGrid.for_spin(sys_)
+        rng = np.random.default_rng(77)
+        if request.param.startswith("rotated"):
+            h0 = rotated_hamiltonian(sys_, rng)
+        else:
+            h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=5)
+        sigma = 0.0 if request.param == "sigma-0" else 0.05 * h0.mean_spacing
+        means = rng.uniform(-0.01, 0.01, sys_.dim) * h0.mean_spacing
+        pert = GaussianPerturbation(sigma=sigma, means=means, seed=6, h0=h0)
+        psi = coherent_state(sys_, SolidAngle(1.1, 0.4))
+        if request.param == "identity-sparse":
+            # members agree on every level but two, and differ on those
+            psi = StateVector(np.eye(sys_.dim)[3] + np.eye(sys_.dim)[8], normalize=True)
+        times = np.array([0.0, 7.0, 30.0, 90.0])
+        if request.param == "rotated-without-0":
+            times = times[1:]
+        return psi, h0, pert, times, self.ENSEMBLE, sys_, grid
+
+    def test_matches_reference_loop_bits(self, setup):
+        curve = echo_experiment(*setup)
+        mean, std_error = reference_echo(*setup)
+        assert np.array_equal(curve.mean_overlap, mean)
+        assert np.array_equal(curve.std_error, std_error)
+
+    @pytest.mark.parametrize("states_per_chunk", [1, 7, None])
+    def test_chunk_budget_keeps_bits(self, setup, states_per_chunk, monkeypatch):
+        # one state a chunk, 7 (the last chunk ragged) and 64 MiB: all in one
+        grid = setup[-1]
+        nbytes = 64 * 2**20 if states_per_chunk is None else \
+            16 * grid.size * states_per_chunk
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", nbytes)
+        curve = echo_experiment(*setup)
+        mean, std_error = reference_echo(*setup)
+        assert np.array_equal(curve.mean_overlap, mean)
+        assert np.array_equal(curve.std_error, std_error)
+
+    def test_one_member_evaluated_when_all_are_equal(self, setup, monkeypatch):
+        rows = []
+
+        def counting(sys_, grid, states):
+            rows.append(len(states))
+            return spincoarse._node_overlaps(sys_, grid, states)
+
+        monkeypatch.setattr(echo_mod, "_node_overlaps", counting)
+        psi, h0, pert, times, ensemble, sys_, grid = setup
+        echo_experiment(*setup)
+        bypass = pert.sigma < echo_mod.SIGMA_BYPASS
+        assert rows == [1 if (t == 0.0 or bypass) else ensemble for t in times]
+
+    def test_memory_peak_bounded_by_chunk_budget(self):
+        # j = 50, 300 members: the two chunk buffers (complex overlaps and
+        # their real |.|^2) plus a few member-sized arrays; before the buffers
+        # were reused this run peaked near 29 MiB
+        sys_ = SpinSystem(50)
+        grid = SphereGrid.for_spin(sys_)
+        h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=1)
+        sigma = 0.05 * h0.mean_spacing
+        pert = GaussianPerturbation(sigma=sigma, means=np.zeros(sys_.dim), seed=2, h0=h0)
+        psi = coherent_state(sys_, SolidAngle(1.0, 0.3))
+        times = np.array([0.0, 1 / sigma, 2 / sigma, 4 / sigma])
+        ensemble = 300
+        members_bytes = ensemble * sys_.dim * 16
+        tracemalloc.start()
+        try:
+            echo_experiment(psi, h0, pert, times, ensemble, sys_, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 2 * spincoarse.OVERLAP_CHUNK_BYTES + 6 * members_bytes
+        assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 class TestAveragedQFormula:

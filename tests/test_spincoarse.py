@@ -6,14 +6,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
+from fapplab import spincoarse
 from fapplab.errors import GridOrderError
 from fapplab.qcore import OperatorMatrix, StateVector
 from fapplab.spincoarse import (CapRegion, QFunction, SolidAngle, SphereGrid,
-                                SpinSystem, bhattacharyya, coherent_kernel,
-                                coherent_state, povm_element, q_function,
+                                SpinSystem, _mixture_q, _node_overlaps, bhattacharyya,
+                                coherent_kernel, coherent_state, povm_element, q_function,
                                 q_function_pure)
 
-from conftest import random_density, random_state
+from conftest import random_density, random_state, reference_node_overlaps
 
 
 def spherical_harmonic(l, m, theta, phi):
@@ -235,6 +236,62 @@ class TestSeparableRoute:
             oracle = (2 * j + 1) / (4 * pi) * np.abs(kernel.conj() @ psi.amplitudes) ** 2
             got = q_function_pure(psi, sys, grid).values
             assert np.max(np.abs(got - oracle)) <= 1e-12 * oracle.max()
+
+
+class TestOverlapBuffers:
+    """The kernel reuses one pair of chunk buffers and an in-place FFT; its
+    overlaps and mixtures keep the bits of the allocate-per-chunk reference at
+    every budget, from one state per chunk to all states in one."""
+
+    SYS = SpinSystem(7.5)
+    GRID = SphereGrid.for_spin(SYS)
+    STATES = 37
+    BUDGETS = {
+        "one-state": 16 * GRID.size,
+        "ragged": 16 * GRID.size * 5 + 3,   # 5 states a chunk, 2 in the last
+        "64MiB": 64 * 2**20,
+    }
+
+    @staticmethod
+    def collect(chunks, rows, nodes):
+        out = np.full((rows, nodes), np.nan)
+        for chunk, overlaps in chunks:
+            out[chunk] = overlaps   # copied: the kernel's array is scratch space
+        return out
+
+    @pytest.fixture
+    def states(self, rng):
+        return np.array([random_state(rng, self.SYS.dim) for _ in range(self.STATES)])
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_overlaps_match_reference_bits(self, budget, states, monkeypatch):
+        nbytes = self.BUDGETS[budget]
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", nbytes)
+        got = self.collect(_node_overlaps(self.SYS, self.GRID, states),
+                           self.STATES, self.GRID.size)
+        want = self.collect(reference_node_overlaps(self.SYS, self.GRID, states, nbytes),
+                            self.STATES, self.GRID.size)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, self.collect(
+            reference_node_overlaps(self.SYS, self.GRID, states),
+            self.STATES, self.GRID.size))
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_mixture_q_matches_reference_bits(self, budget, states, rng, monkeypatch):
+        nbytes = self.BUDGETS[budget]
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", nbytes)
+        weights = rng.uniform(0.0, 1.0, self.STATES)
+        got = _mixture_q(self.SYS, self.GRID, weights, states)
+        want = (2 * self.SYS.j + 1) / (4 * pi) * sum(
+            weights[chunk] @ overlaps
+            for chunk, overlaps in reference_node_overlaps(self.SYS, self.GRID, states,
+                                                           nbytes))
+        assert np.array_equal(got, want)
+
+    def test_chunks_cover_every_state_once(self, states, monkeypatch):
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", self.BUDGETS["ragged"])
+        chunks = [chunk for chunk, _ in _node_overlaps(self.SYS, self.GRID, states)]
+        assert [len(range(self.STATES)[c]) for c in chunks] == [5] * 7 + [2]
 
 
 class TestLargeSpin:
