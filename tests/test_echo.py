@@ -305,19 +305,14 @@ class TestEchoBuffers:
             times = times[1:]
         return psi, h0, pert, times, self.ENSEMBLE, sys_, grid
 
-    def test_matches_reference_loop_bits(self, setup):
-        curve = echo_experiment(*setup)
-        mean, std_error = reference_echo(*setup)
-        assert np.array_equal(curve.mean_overlap, mean)
-        assert np.array_equal(curve.std_error, std_error)
-
-    @pytest.mark.parametrize("states_per_chunk", [1, 7, None])
-    def test_chunk_budget_keeps_bits(self, setup, states_per_chunk, monkeypatch):
-        # one state a chunk, 7 (the last chunk ragged) and 64 MiB: all in one
+    @pytest.mark.parametrize("states_per_chunk", ["default", 1, 7, "all"])
+    def test_matches_reference_loop_bits(self, setup, states_per_chunk, monkeypatch):
+        # 7 states a chunk leaves the last one ragged; 64 MiB holds all in one
         grid = setup[-1]
-        nbytes = 64 * 2**20 if states_per_chunk is None else \
-            16 * grid.size * states_per_chunk
-        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", nbytes)
+        if states_per_chunk != "default":
+            nbytes = 64 * 2**20 if states_per_chunk == "all" else \
+                16 * grid.size * states_per_chunk
+            monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", nbytes)
         curve = echo_experiment(*setup)
         mean, std_error = reference_echo(*setup)
         assert np.array_equal(curve.mean_overlap, mean)
@@ -338,8 +333,8 @@ class TestEchoBuffers:
 
     def test_memory_peak_bounded_by_chunk_budget(self):
         # j = 50, 300 members: the two chunk buffers (complex overlaps and
-        # their real |.|^2) plus a few member-sized arrays; before the buffers
-        # were reused this run peaked near 29 MiB
+        # their real |.|^2) plus a few member-sized arrays; a kernel that
+        # allocates its 8 MiB chunks afresh peaks near 29 MiB here
         sys_ = SpinSystem(50)
         grid = SphereGrid.for_spin(sys_)
         h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=1)
