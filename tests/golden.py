@@ -52,6 +52,8 @@ CASES = {
     # sigma = 0: every member is the same state at every time; std_error reads
     # ~1e-16, not 0, the spread of identical values around their rounded mean
     "echo-bypass": ("echo", 99, {"j": "5", "ensemble": "100", "sigma_scale": "0"}),
+    # the shot count of the benchmark's sampled bell runs
+    "bell-sampled-1e5": ("bell", 17, {"sampled": "true", "shots": "100000"}),
 }
 
 
