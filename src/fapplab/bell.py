@@ -188,24 +188,31 @@ def lhv_bound() -> float:
 
 def correlation_sampled(state: StateVector, obs_a: MacroObservable, obs_b: MacroObservable,
                         shots: int, rng: np.random.Generator) -> float:
-    """Finite-shot estimate: outcomes sampled from the joint Born distribution."""
+    """Finite-shot estimate: outcomes sampled from the joint Born distribution.
+
+    Bit for bit the draws of `rng.choice(9, size=shots, p=probs)`, leaving the
+    generator in the same state: a uniform u falls in bin #{k: cdf[k] <= u}, so
+    #{u >= cdf[k]} draws lie beyond bin k and the outcome sum is an exact integer.
+    """
     if shots < 1:
         raise ValueError("need at least one shot")
     m = state.amplitudes.reshape(LAB_DIM, LAB_DIM)
-    proj_a = obs_a.outcome_projectors()
     proj_b = obs_b.outcome_projectors()
-    outcomes = []
-    probs = []
-    for va, pa in proj_a.items():
+    outcomes, probs = [], []
+    for va, pa in obs_a.outcome_projectors().items():
         for vb, pb in proj_b.items():
             pr = _local_expectation(m, pa, pb).real
             outcomes.append(va * vb)
             probs.append(max(pr, 0.0))
     probs = np.array(probs)
-    probs = probs / probs.sum()
-    draws = rng.choice(len(outcomes), size=shots, p=probs)
-    values = np.array(outcomes)[draws]
-    return float(values.mean())
+    probs /= probs.sum()
+    if not np.isfinite(probs).all():
+        raise ValueError("probabilities contain NaN")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shots)
+    beyond = [shots] + [np.count_nonzero(u >= c) for c in cdf]
+    return float(sum(v * (beyond[k] - beyond[k + 1]) for k, v in enumerate(outcomes)) / shots)
 
 
 def chsh_value_sampled(state: StateVector, settings: ChshSettings, shots: int,

@@ -235,8 +235,9 @@ def _run_friend(cfg: dict, buf) -> str:
 
 
 def _run_bell(cfg: dict, seed: int, buf) -> str:
-    settings = bell_mod.ChshSettings.default()
-    state = bell_mod.build_bell_state()
+    basis = bell_mod.LaboratoryBasis.default()
+    settings = bell_mod.ChshSettings.default(basis, basis)
+    state = bell_mod.build_bell_state(basis, basis)
     buf.write("setting_pair,correlation\n")
     if cfg["sampled"]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))

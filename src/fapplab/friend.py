@@ -174,11 +174,9 @@ def write_message(state: LabState) -> LabState:
 
 def branch_states(space: LabSpace) -> tuple[StateVector, StateVector]:
     """The two recorded branches of systems 1-4: "all agree up" and "all agree down"."""
-    up = tensor_all([StateVector(Z_PLUS), StateVector(Z_PLUS), StateVector(Z_MINUS),
-                     StateVector(space.knows_up())])
-    down = tensor_all([StateVector(Z_MINUS), StateVector(Z_MINUS), StateVector(Z_PLUS),
-                       StateVector(space.knows_down())])
-    return up, down
+    layout = ProductSpace((2, 2, 2, space.observer_dim))
+    return (StateVector.basis(layout.total_dim, layout.flat_index((0, 0, 1, 0))),
+            StateVector.basis(layout.total_dim, layout.flat_index((1, 1, 0, 1))))
 
 
 def interference_states(space: LabSpace) -> tuple[StateVector, StateVector]:

@@ -38,6 +38,8 @@ class StateVector:
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size < 1:
             raise ValueError("state needs at least one amplitude")
+        if not np.isfinite(amps).all():
+            raise ValueError("state amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if normalize:
             if norm == 0:
@@ -90,6 +92,8 @@ class OperatorMatrix:
             raise ValueError(f"operator must be square, got shape {m.shape}")
         if kind not in _KINDS:
             raise ValueError(f"unknown operator kind {kind!r}")
+        if not np.isfinite(m).all():
+            raise ValueError("operator entries must be finite")
         if kind in ("hermitian", "projector"):
             dev = np.max(np.abs(m - m.conj().T))
             if dev > HERMITIAN_TOL:

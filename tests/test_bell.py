@@ -203,6 +203,78 @@ class TestSampledMode:
             correlation_sampled(state, settings.a1, settings.b1, 0,
                                 np.random.default_rng(0))
 
+    def test_nan_state_rejected(self, state, settings):
+        with pytest.raises(ValueError):
+            StateVector(np.full(LAB_DIM * LAB_DIM, np.nan))
+        # a NaN amplitude forced past the constructor still stops the sampler
+        amps = state.amplitudes.copy()
+        amps[0] = np.nan
+        bad = object.__new__(StateVector)
+        object.__setattr__(bad, "dim", amps.size)
+        object.__setattr__(bad, "amplitudes", amps)
+        with pytest.raises(ValueError):
+            correlation_sampled(bad, settings.a1, settings.b1, 10, np.random.default_rng(0))
+
+
+def outcome_distribution(state, obs_a, obs_b):
+    """Outcome products and normalized Born probabilities of the nine pairs."""
+    m = state.amplitudes.reshape(LAB_DIM, LAB_DIM)
+    outcomes, probs = [], []
+    for va, pa in obs_a.outcome_projectors().items():
+        for vb, pb in obs_b.outcome_projectors().items():
+            outcomes.append(va * vb)
+            probs.append(max(np.vdot(m, pa @ m @ pb.T).real, 0.0))
+    probs = np.array(probs)
+    return np.array(outcomes), probs / probs.sum()
+
+
+def choice_route(state, obs_a, obs_b, shots, rng):
+    """The earlier sampler: `Generator.choice` over the nine outcome pairs."""
+    outcomes, probs = outcome_distribution(state, obs_a, obs_b)
+    draws = rng.choice(len(outcomes), size=shots, p=probs)
+    return float(outcomes[draws].mean())
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose `random` returns chosen values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values
+
+
+class TestSamplingBitIdentity:
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("shots", [1, 2, 17, 2000, 100000])
+    def test_equals_choice_route(self, state, settings, basis, seed, shots):
+        pairs = [(a, b) for _, a, b in settings.pairs()]
+        pairs.append((rotated_observable(basis, 0.37), rotated_observable(basis, -1.1)))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for a, b in pairs:
+            got = correlation_sampled(state, a, b, shots, rng)
+            want = choice_route(state, a, b, shots, ref_rng)
+            assert type(got) is float
+            assert got.hex() == want.hex()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_uniforms_on_bin_edges(self, state, settings, basis):
+        # choice's bin is cdf.searchsorted(u, side="right"): a uniform equal to
+        # cdf[k] belongs to the bin after k
+        for a, b in [(settings.a2, settings.b1),
+                     (rotated_observable(basis, 0.37), rotated_observable(basis, -1.1))]:
+            outcomes, probs = outcome_distribution(state, a, b)
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            edges = cdf[cdf < 1.0]
+            for u in np.concatenate([edges, np.nextafter(edges, 0.0),
+                                     [0.0, np.nextafter(1.0, 0.0)]]):
+                want = float(outcomes[cdf.searchsorted(u, side="right")])
+                got = correlation_sampled(state, a, b, 1, FixedUniforms(np.array([u])))
+                assert got.hex() == want.hex()
+
 
 class TestFactsReport:
     def test_default_run_excludes_coexistence(self, state):

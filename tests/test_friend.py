@@ -178,6 +178,16 @@ class TestInterferenceMeasurement:
         assert p_rest == pytest.approx(1.0, abs=1e-12)
 
 
+class TestBranchStates:
+    def test_equal_to_tensor_product_oracle(self, space):
+        z_plus, z_minus = StateVector([1, 0]), StateVector([0, 1])
+        up = tensor_all([z_plus, z_plus, z_minus, StateVector(space.knows_up())])
+        down = tensor_all([z_minus, z_minus, z_plus, StateVector(space.knows_down())])
+        got_up, got_down = branch_states(space)
+        assert np.array_equal(got_up.amplitudes, up.amplitudes)
+        assert np.array_equal(got_down.amplitudes, down.amplitudes)
+
+
 class TestComplementarity:
     def test_noncommuting_branch_and_interference_observables(self, space2):
         up, down = branch_states(space2)

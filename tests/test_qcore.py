@@ -34,6 +34,13 @@ class TestStateVector:
         with pytest.raises((AttributeError, ValueError)):
             s.amplitudes[0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_non_finite_rejected(self, bad, normalize):
+        # abs(nan - 1) > NORM_TOL is False, so the norm check alone lets NaN in
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(np.array([bad, 0, 0]), normalize=normalize)
+
 
 class TestOperatorMatrix:
     def test_kind_checks(self):
@@ -48,6 +55,15 @@ class TestOperatorMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             OperatorMatrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0)])
+    @pytest.mark.parametrize("kind", ["generic", "hermitian", "unitary", "projector"])
+    def test_non_finite_rejected(self, kind, bad):
+        # every kind check compares a deviation `> tol`, which is False for NaN
+        m = np.eye(2, dtype=complex)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            OperatorMatrix(m, kind=kind)
 
 
 class TestProductSpace:
