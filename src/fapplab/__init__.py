@@ -11,8 +11,8 @@ from .spincoarse import (CapRegion, QFunction, SolidAngle, SphereGrid, SpinSyste
                          bhattacharyya, coherent_kernel, coherent_state,
                          povm_element, q_function, q_function_pure)
 from .reversal import (CellRegion, PhasePoint, ReversalConfig, ReversalResult,
-                       ReversibleMap, bound, involution, lyapunov,
-                       reversal_probability, step)
+                       ReversibleMap, bound, involution, lyapunov, lyapunov_rows,
+                       reversal_probabilities, reversal_probability, step)
 from .echo import (EchoCurve, GaussianPerturbation, SpectralHamiltonian,
                    averaged_q_formula, combined_evolution, draw_perturbation,
                    echo_experiment, reversibility_measure)

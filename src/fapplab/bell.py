@@ -18,6 +18,9 @@ from .qcore import OperatorMatrix, StateVector
 
 LAB_DIM = 16
 EIGENVALUE_TOL = 1e-10
+# uniforms drawn at once by `correlation_sampled`: 512 KiB, so memory stays
+# bounded for any shot count
+_SHOT_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -193,6 +196,7 @@ def correlation_sampled(state: StateVector, obs_a: MacroObservable, obs_b: Macro
     Bit for bit the draws of `rng.choice(9, size=shots, p=probs)`, leaving the
     generator in the same state: a uniform u falls in bin #{k: cdf[k] <= u}, so
     #{u >= cdf[k]} draws lie beyond bin k and the outcome sum is an exact integer.
+    The uniforms come `_SHOT_CHUNK` at a time, which draws the same stream.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -210,8 +214,11 @@ def correlation_sampled(state: StateVector, obs_a: MacroObservable, obs_b: Macro
         raise ValueError("probabilities contain NaN")
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(shots)
-    beyond = [shots] + [np.count_nonzero(u >= c) for c in cdf]
+    beyond = [shots] + [0] * cdf.size
+    for start in range(0, shots, _SHOT_CHUNK):
+        u = rng.random(min(_SHOT_CHUNK, shots - start))
+        for k, c in enumerate(cdf, 1):
+            beyond[k] += np.count_nonzero(u >= c)
     return float(sum(v * (beyond[k] - beyond[k + 1]) for k, v in enumerate(outcomes)) / shots)
 
 

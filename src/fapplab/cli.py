@@ -196,8 +196,7 @@ def _run_reverse(cfg: dict, seed: int, buf) -> str:
         map=mapping, perturbed_kick=cfg["kick"] + cfg["delta_kick"], steps=int(t),
         region=region, samples=cfg["samples"], seed=int(child_seed))
         for t, child_seed in zip(cfg["t_values"], child_seeds)]
-    for t, config in zip(cfg["t_values"], configs):
-        result = rev_mod.reversal_probability(config)
+    for t, result in zip(cfg["t_values"], rev_mod.reversal_probabilities(configs)):
         buf.write(f"{t},{result.probability!r},{result.std_error!r},{result.bound!r}\n")
     return (f"classical-reverse K={cfg['kick']} dK={cfg['delta_kick']} "
             f"probability={result.probability:.6f} lyapunov={result.lyapunov_estimate:.4f}")

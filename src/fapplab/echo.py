@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ToleranceError
 from .qcore import OperatorMatrix, StateVector
-from .spincoarse import (SphereGrid, SpinSystem, _mixture_q, _node_overlaps, bhattacharyya,
-                         q_function_pure)
+from .spincoarse import (MAX_ENSEMBLE, SphereGrid, SpinSystem, _mixture_q, _node_overlaps,
+                         bhattacharyya, q_function_pure)
 
 SIGMA_BYPASS = 1e-15  # below this the ensemble collapses onto its means exactly
 DIAGONAL_TOL = 1e-12
@@ -217,6 +217,9 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     _check_times(times)
     if ensemble_size < 100:
         raise ValueError("need at least 100 ensemble members")
+    if ensemble_size > MAX_ENSEMBLE:
+        raise ValueError(f"ensemble of {ensemble_size} members exceeds the supported "
+                         f"maximum {MAX_ENSEMBLE}")
     if pert.h0 is not h0 and not np.array_equal(pert.h0.eigenvalues, h0.eigenvalues):
         raise ValueError("perturbation ensemble is paired with a different Hamiltonian")
     q_before = q_function_pure(psi, sys, grid)

@@ -49,15 +49,14 @@ def _remainder(x) -> None:
     np.remainder(x, TWO_PI, out=x)
 
 
-def _advance(q, p, steps: int, half_kick: float, wrap) -> None:
+def _advance(q, p, kick, steps: int, half_kick: float, wrap) -> None:
     """`steps` kick-drift-kick steps on float arrays q and p, in place.
 
-    This is the one definition of the step. The trailing half-kick of a step
-    and the leading half-kick of the next read the same sin(q), so each step
-    evaluates one sine. `wrap` reduces an array modulo 2pi in place.
+    This is the one definition of the step. `kick` holds half_kick * sin(q) on
+    entry and is left holding it for the new q: the trailing half-kick of a
+    step and the leading half-kick of the next read the same sine, so each
+    step evaluates one. `wrap` reduces an array modulo 2pi in place.
     """
-    kick = np.sin(q)
-    kick *= half_kick
     for _ in range(steps):
         p += kick
         wrap(p)
@@ -67,6 +66,20 @@ def _advance(q, p, steps: int, half_kick: float, wrap) -> None:
         kick *= half_kick
         p += kick
         wrap(p)
+
+
+def _half_kick(q, half_kick: float):
+    """A new array half_kick * sin(q): the kick `_advance` starts from."""
+    kick = np.sin(q)
+    kick *= half_kick
+    return kick
+
+
+def _flip(p) -> None:
+    """Momentum flip p -> -p mod 2pi in place, for p in [0, 2pi]; the bits of
+    `(-p) % TWO_PI`, since -p lies in `_wrap`'s domain."""
+    np.negative(p, out=p)
+    _wrap(p)
 
 
 @dataclass(frozen=True)
@@ -115,7 +128,9 @@ class ReversibleMap:
         flat_q, flat_p = q.reshape(-1), p.reshape(-1)
         for start in range(0, q.size, _CHUNK):
             block = slice(start, start + _CHUNK)
-            _advance(flat_q[block], flat_p[block], steps, half_kick, wrap)
+            q_block = flat_q[block]
+            _advance(q_block, flat_p[block], _half_kick(q_block, half_kick), steps,
+                     half_kick, wrap)
         return q, p
 
 
@@ -146,9 +161,19 @@ class CellRegion:
     def area(self) -> float:
         return self.full_width ** 2
 
-    def sample(self, rng: np.random.Generator, n: int):
-        q = (self.center.q + rng.uniform(-self.half_width, self.half_width, n)) % TWO_PI
-        p = (self.center.p + rng.uniform(-self.half_width, self.half_width, n)) % TWO_PI
+    def sample(self, q_rng: np.random.Generator, p_rng: np.random.Generator, n: int):
+        """n points uniform in the cell: q drawn from q_rng, then p from p_rng.
+        Passing one generator twice draws all q, then all p from it.
+
+        The shifted draws lie in (-pi, 3pi), since the half-width is below pi,
+        so `_wrap` reduces them in place with np.remainder's bits.
+        """
+        q = q_rng.uniform(-self.half_width, self.half_width, n)
+        q += self.center.q
+        _wrap(q)
+        p = p_rng.uniform(-self.half_width, self.half_width, n)
+        p += self.center.p
+        _wrap(p)
         return q, p
 
     def contains(self, q, p) -> np.ndarray:
@@ -185,7 +210,8 @@ class ReversalResult:
     bound: float
 
 
-def reversal_probability(cfg: ReversalConfig) -> ReversalResult:
+def reversal_probability(cfg: ReversalConfig,
+                         lyapunov_estimate: float | None = None) -> ReversalResult:
     """Monte-Carlo estimate of the probability of returning to the start cell.
 
     Protocol per sample: draw x0 uniformly in the cell, run the true map
@@ -193,20 +219,55 @@ def reversal_probability(cfg: ReversalConfig) -> ReversalResult:
     `steps` (the flip conjugation makes this the imperfect reverse flow),
     flip again, and test membership in the start cell. With an unperturbed
     reverse flow the return is exact by the involution identity.
+
+    The samples go through the protocol one `_CHUNK` at a time, so memory
+    stays O(chunk) for any sample count. The draws are those of one
+    `region.sample(rng, rng, samples)`: q from the row's generator, and p from
+    a second one on the same seed advanced past the q draws, as each uniform
+    double takes one 64-bit output. `lyapunov_estimate` is the exponent of
+    `cfg.map` at the row's seed, as `reversal_probabilities` computes it for
+    many rows at once; when it is None it is estimated here.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
-    q, p = cfg.region.sample(rng, cfg.samples)
-    q, p = cfg.map.evolve_arrays(q, p, cfg.steps)
-    p = (-p) % TWO_PI
+    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
+    q_rng = np.random.default_rng(seed)
+    p_bits = np.random.PCG64(seed)
+    p_bits.advance(cfg.samples)
+    p_rng = np.random.Generator(p_bits)
     perturbed = ReversibleMap(cfg.perturbed_kick)
-    q, p = perturbed.evolve_arrays(q, p, cfg.steps)
-    p = (-p) % TWO_PI
-    hits = int(np.count_nonzero(cfg.region.contains(q, p)))
+    hits = 0
+    for start in range(0, cfg.samples, _CHUNK):
+        q, p = cfg.region.sample(q_rng, p_rng, min(_CHUNK, cfg.samples - start))
+        q, p = cfg.map.evolve_arrays(q, p, cfg.steps)
+        _flip(p)
+        q, p = perturbed.evolve_arrays(q, p, cfg.steps)
+        _flip(p)
+        hits += int(np.count_nonzero(cfg.region.contains(q, p)))
     prob = hits / cfg.samples
     std_error = float(np.sqrt(prob * (1 - prob) / cfg.samples))
-    lam = lyapunov(cfg.map, seed=np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
+    if lyapunov_estimate is None:
+        lyapunov_estimate = lyapunov(cfg.map, seed=_lyapunov_seed(cfg.seed))
     return ReversalResult(probability=prob, std_error=std_error,
-                          lyapunov_estimate=lam, bound=bound(lam, cfg.steps))
+                          lyapunov_estimate=lyapunov_estimate,
+                          bound=bound(lyapunov_estimate, cfg.steps))
+
+
+def _lyapunov_seed(seed: int) -> np.random.SeedSequence:
+    """The generator seed of a reversal row's Lyapunov estimate."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(1,))
+
+
+def reversal_probabilities(configs) -> list:
+    """`reversal_probability` of every config, in order, with all exponents
+    estimated by one `lyapunov_rows` pass per map: rows with the same map and
+    seed share one estimate, and the rest are stacked.
+    """
+    configs = list(configs)
+    estimates = {}
+    for mapping in dict.fromkeys(cfg.map for cfg in configs):
+        seeds = list(dict.fromkeys(cfg.seed for cfg in configs if cfg.map == mapping))
+        lams = lyapunov_rows(mapping, [_lyapunov_seed(seed) for seed in seeds])
+        estimates.update(((mapping, seed), lam) for seed, lam in zip(seeds, lams))
+    return [reversal_probability(cfg, estimates[cfg.map, cfg.seed]) for cfg in configs]
 
 
 def lyapunov(mapping: ReversibleMap, steps: int = 4000, transient: int = 100,
@@ -215,36 +276,59 @@ def lyapunov(mapping: ReversibleMap, steps: int = 4000, transient: int = 100,
     averaged over random initial points. Non-chaotic regimes give ~0.
     `seed` is anything `np.random.default_rng` accepts.
     """
+    return lyapunov_rows(mapping, [seed], steps, transient, n_init)[0]
+
+
+def lyapunov_rows(mapping: ReversibleMap, seeds, steps: int = 4000, transient: int = 100,
+                  n_init: int = 32) -> list:
+    """`lyapunov(mapping, steps, transient, seed, n_init)` for every seed, in
+    order, from one tangent-map loop over all rows' initial points.
+
+    Each seed's points are drawn from its own generator, and every operation
+    of the loop is elementwise, so stacking the rows moves no bit
+    (Benettin, Galgani, Giorgilli & Strelcyn, Meccanica 15, 9 (1980)).
+    """
     if steps < 1000:
         raise ValueError("need at least 1e3 tangent-map steps")
     if n_init < 32:
         raise ValueError("need at least 32 initial points")
-    rng = np.random.default_rng(seed)
     half_kick = 0.5 * mapping.kick_strength
-    start = rng.uniform(0.0, TWO_PI, (n_init, 2))  # row-wise draws keep the RNG order
+    # row-wise draws keep the RNG order
+    start = np.concatenate([np.random.default_rng(seed).uniform(0.0, TWO_PI, (n_init, 2))
+                            for seed in seeds])
     q, p = mapping.evolve_arrays(start[:, 0], start[:, 1], transient)
-    v0, v1 = np.ones(n_init), np.zeros(n_init)
-    acc = np.zeros(n_init)
-    c2 = half_kick * np.cos(q)
+    kick = _half_kick(q, half_kick)
+    c1, c2 = np.empty_like(q), half_kick * np.cos(q)
+    tangent = np.zeros((2, q.size))  # the rows are v0 and v1
+    tangent[0] = 1.0
+    v0, v1 = tangent
+    c1v0, c2v0, norm, acc = (np.zeros_like(q) for _ in range(4))
     for _ in range(steps):
         # tangent map J = J_kick(q_new) @ J_drift @ J_kick(q), multiplied out;
-        # the new kick's slope is the next step's old one. On 32 points one
-        # np.remainder call is cheaper than the nine tiny calls of `_wrap`.
-        c1 = c2
-        _advance(q, p, 1, half_kick, _remainder)
-        c2 = half_kick * np.cos(q)
-        c1v0 = c1 * v0
+        # the new kick's slope is the next step's old one. On a few hundred
+        # points one np.remainder call is cheaper than the nine tiny calls of
+        # `_wrap`.
+        c1, c2 = c2, c1
+        _advance(q, p, kick, 1, half_kick, _remainder)
+        np.cos(q, out=c2)
+        c2 *= half_kick
+        np.multiply(c1, v0, out=c1v0)
         v0 += v1
         v0 += c1v0  # v0 + v1 + c1 v0
-        v1 = c2 * v0 + c1v0 + v1
-        norm = np.hypot(v0, v1)
-        acc += np.log(norm)
-        v0 /= norm
-        v1 /= norm
-    total = 0.0
-    for a in acc:  # left to right: np.sum pairs terms and would move the last bits
-        total += a / steps
-    return total / n_init
+        np.multiply(c2, v0, out=c2v0)
+        c2v0 += c1v0
+        v1 += c2v0  # c2 v0 + c1 v0 + v1, since a + b and b + a round alike
+        np.hypot(v0, v1, out=norm)
+        tangent /= norm
+        np.log(norm, out=norm)
+        acc += norm
+    estimates = []
+    for row in acc.reshape(-1, n_init):
+        total = 0.0
+        for a in row:  # left to right: np.sum pairs terms and would move the last bits
+            total += a / steps
+        estimates.append(total / n_init)
+    return estimates
 
 
 def bound(lyapunov_exponent: float, t: int) -> float:

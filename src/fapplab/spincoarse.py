@@ -18,6 +18,10 @@ from .qcore import OperatorMatrix, StateVector
 
 MAX_J = 500  # binomials are evaluated in log space; beyond this we refuse
 MAX_GRID_AXIS = 2 * MAX_J + 2  # nodes per axis of the default grid of the largest spin
+# largest echo ensemble: at MAX_J's 1001 levels one time's block of member
+# states (members x levels x 16 B complex) is 0.52 GB at this size, and the
+# members x times overlaps (8 B each) add 0.26 MB per time
+MAX_ENSEMBLE = 2**15
 Q_NORM_TOL = 1e-8
 BHATTACHARYYA_EXCESS_TOL = 1e-8
 # complex node overlaps held at once, which bounds the peak memory of a Q

@@ -34,7 +34,7 @@ from fapplab.friend import (LabSpace, branch_states, interference_measurement,
                             stern_gerlach, write_message)
 from fapplab.qcore import OperatorMatrix, StateVector
 from fapplab.reversal import (TWO_PI, CellRegion, PhasePoint, ReversalConfig,
-                              ReversibleMap, reversal_probability)
+                              ReversibleMap, reversal_probabilities)
 from fapplab.spincoarse import (SolidAngle, SphereGrid, SpinSystem, bhattacharyya,
                                 coherent_kernel, coherent_state, q_function_pure)
 
@@ -259,17 +259,18 @@ def classical_runs():
     region = CellRegion(center=PhasePoint(3.0, 2.0), half_width=0.025)
     samples = 100000
 
-    def run_one(delta, steps):
-        cfg = ReversalConfig(map=mapping, perturbed_kick=6.0 + delta, steps=steps,
-                             region=region, samples=samples, seed=CLASSICAL_SEED)
-        return reversal_probability(cfg)
+    def config(delta, steps):
+        return ReversalConfig(map=mapping, perturbed_kick=6.0 + delta, steps=steps,
+                              region=region, samples=samples, seed=CLASSICAL_SEED)
 
-    exact = {t: run_one(0.0, t) for t in (5, 10)}
-    perturbed = {t: run_one(1e-2, t) for t in (5, 10, 15)}
-    decay = {t: run_one(1e-2, t) for t in range(2, 21, 2)}
+    rows = {"exact": {t: config(0.0, t) for t in (5, 10)},
+            "perturbed": {t: config(1e-2, t) for t in (5, 10, 15)},
+            "decay": {t: config(1e-2, t) for t in range(2, 21, 2)}}
+    results = iter(reversal_probabilities(
+        [cfg for group in rows.values() for cfg in group.values()]))
+    runs = {name: {t: next(results) for t in group} for name, group in rows.items()}
     elapsed = time.perf_counter() - start
-    return dict(exact=exact, perturbed=perturbed, decay=decay, region=region,
-                samples=samples, elapsed=elapsed)
+    return dict(**runs, region=region, samples=samples, elapsed=elapsed)
 
 
 def test_06a_unperturbed_reversal_exact(classical_runs):

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, ProductSpace, StateVector, partial_trace
-from fapplab.bell import (LAB_DIM, ChshSettings, LaboratoryBasis, MacroObservable,
+from fapplab.bell import (_SHOT_CHUNK, LAB_DIM, ChshSettings, LaboratoryBasis, MacroObservable,
                           branch_projection_observable, build_bell_state, chsh_value,
                           chsh_value_sampled, correlation, correlation_sampled,
                           facts_contradiction_report, interference_observable,
@@ -248,7 +248,9 @@ class FixedUniforms:
 
 class TestSamplingBitIdentity:
     @pytest.mark.parametrize("seed", [0, 7, 2024])
-    @pytest.mark.parametrize("shots", [1, 2, 17, 2000, 100000])
+    # one chunk of uniforms and its neighbours, several chunks with a ragged end
+    @pytest.mark.parametrize("shots", [1, 2, 17, 2000, _SHOT_CHUNK - 1, _SHOT_CHUNK,
+                                       _SHOT_CHUNK + 1, 100000, 3 * _SHOT_CHUNK + 5])
     def test_equals_choice_route(self, state, settings, basis, seed, shots):
         pairs = [(a, b) for _, a, b in settings.pairs()]
         pairs.append((rotated_observable(basis, 0.37), rotated_observable(basis, -1.1)))

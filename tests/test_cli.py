@@ -91,6 +91,7 @@ class TestExitCodes:
         ("echo", "j", "1000000"),
         ("qfunction", "grid_nodes", "1003"),
         ("qfunction", "grid_nodes", "3000000"),
+        ("echo", "ensemble", "1000000000"),
     ])
     def test_invalid_value_is_2(self, tmp_path, capsys, experiment, key, value):
         cfg = write_config(tmp_path / "c.cfg", experiment=experiment, **{key: value})
@@ -101,10 +102,11 @@ class TestExitCodes:
 
     def test_reverse_rejects_bad_row_before_running_any(self, tmp_path, capsys,
                                                          monkeypatch):
-        def must_not_run(config):
+        def must_not_run(*args, **kwargs):
             raise AssertionError("a reversal row ran before every row was validated")
 
-        monkeypatch.setattr(rev_mod, "reversal_probability", must_not_run)
+        for name in ("reversal_probabilities", "reversal_probability", "lyapunov_rows"):
+            monkeypatch.setattr(rev_mod, name, must_not_run)
         cfg = write_config(tmp_path / "c.cfg", experiment="classical-reverse",
                            t_values="5,-1")
         out = tmp_path / "o.csv"
@@ -119,6 +121,18 @@ class TestExitCodes:
 
         monkeypatch.setattr(echo_mod.GaussianPerturbation, "draw_values", must_not_run)
         cfg = write_config(tmp_path / "c.cfg", experiment="echo", times="5,0")
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", cfg, "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echo_rejects_huge_ensemble_before_drawing_any(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def must_not_run(self, index):
+            raise AssertionError("an ensemble member was drawn before the size was checked")
+
+        monkeypatch.setattr(echo_mod.GaussianPerturbation, "draw_values", must_not_run)
+        cfg = write_config(tmp_path / "c.cfg", experiment="echo", ensemble="1000000000")
         out = tmp_path / "o.csv"
         assert run_cli("--config", cfg, "--out", str(out)) == 2
         assert "config error" in capsys.readouterr().err
@@ -220,6 +234,25 @@ class TestReproducibility:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli("--config", cfg, "--seed", "5", "--out", str(a)) == 0
         assert run_cli("--config", cfg, "--seed", "5", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_reverse_runs_one_tangent_loop_per_run(self, tmp_path, monkeypatch):
+        # nothing carries over between runs in one process: each estimates its
+        # exponents again, all rows in one pass
+        passes = []
+        rows = rev_mod.lyapunov_rows
+
+        def counting_rows(mapping, seeds, *args, **kwargs):
+            passes.append(len(seeds))
+            return rows(mapping, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(rev_mod, "lyapunov_rows", counting_rows)
+        cfg = write_config(tmp_path / "c.cfg", experiment="classical-reverse", samples="400")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("--config", cfg, "--seed", "7", "--out", str(a)) == 0
+        assert passes == [3]
+        assert run_cli("--config", cfg, "--seed", "7", "--out", str(b)) == 0
+        assert passes == [3, 3]
         assert a.read_bytes() == b.read_bytes()
 
     def test_thread_count_does_not_change_numbers(self, tmp_path):

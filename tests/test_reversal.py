@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fapplab import reversal
-from fapplab.reversal import (TWO_PI, CellRegion, PhasePoint, ReversalConfig,
+from fapplab.reversal import (_CHUNK, TWO_PI, CellRegion, PhasePoint, ReversalConfig,
                               ReversibleMap, _wrap, bound, involution, lyapunov,
-                              reversal_probability, step)
+                              lyapunov_rows, reversal_probabilities, reversal_probability,
+                              step)
 
 
 def make_config(**overrides):
@@ -61,6 +64,22 @@ def reference_lyapunov(kick, steps, seed, transient=100, n_init=32):
     for a in acc:
         total += a / steps
     return total / n_init
+
+
+def all_at_once_reversal(cfg):
+    """`reversal_probability`'s Monte-Carlo before it was streamed: every
+    sample drawn, stepped, flipped and counted at once (test oracle). Returns
+    the drawn (q, p), the probability and its standard error."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
+    center, half_width = cfg.region.center, cfg.region.half_width
+    q0 = (center.q + rng.uniform(-half_width, half_width, cfg.samples)) % TWO_PI
+    p0 = (center.p + rng.uniform(-half_width, half_width, cfg.samples)) % TWO_PI
+    q, p = cfg.map.evolve_arrays(q0, p0, cfg.steps)
+    p = (-p) % TWO_PI
+    q, p = ReversibleMap(cfg.perturbed_kick).evolve_arrays(q, p, cfg.steps)
+    p = (-p) % TWO_PI
+    prob = int(np.count_nonzero(cfg.region.contains(q, p))) / cfg.samples
+    return (q0, p0), prob, float(np.sqrt(prob * (1 - prob) / cfg.samples))
 
 
 def assert_same_bits(got, want):
@@ -267,7 +286,7 @@ class TestAreaPreservation:
         # one chaotic step of a small cell is linear to good accuracy;
         # evaluated on the unwrapped lift so the torus seam cannot split the cloud
         region = CellRegion(center=PhasePoint(3.0, 2.0), half_width=0.025)
-        q, p = region.sample(rng, 100000)
+        q, p = region.sample(rng, rng, 100000)
         vol_in = np.linalg.det(np.cov(np.vstack([q, p])))
         p = p + 3.0 * np.sin(q)
         q = q + p
@@ -278,7 +297,7 @@ class TestAreaPreservation:
     def test_shear_preserves_covariance_20_steps(self, rng):
         # integrable limit on the unwrapped plane: exact unimodular shear
         region = CellRegion(center=PhasePoint(3.0, 0.1), half_width=0.025)
-        q, p = region.sample(rng, 100000)
+        q, p = region.sample(rng, rng, 100000)
         vol_in = np.linalg.det(np.cov(np.vstack([q, p])))
         for _ in range(20):
             q = q + p  # no wrap: lift to the plane
@@ -312,9 +331,10 @@ class TestReversalProbability:
 
     def test_monotone_decay_within_noise(self):
         prev, prev_se = 1.1, 0.0
-        for t in range(2, 21, 2):
-            cfg = make_config(perturbed_kick=6.01, steps=t, samples=30000, seed=77)
-            r = reversal_probability(cfg)
+        steps = range(2, 21, 2)
+        results = reversal_probabilities(
+            make_config(perturbed_kick=6.01, steps=t, samples=30000, seed=77) for t in steps)
+        for t, r in zip(steps, results):
             assert r.probability <= prev + 2 * max(r.std_error, prev_se), f"t={t}"
             prev, prev_se = r.probability, r.std_error
 
@@ -325,6 +345,72 @@ class TestReversalProbability:
             make_config(steps=-1)
         with pytest.raises(ValueError):
             CellRegion(center=PhasePoint(0, 0), half_width=4.0)
+
+
+class TestStreamedMonteCarlo:
+    @pytest.mark.parametrize("samples", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    def test_chunks_equal_all_at_once_route(self, monkeypatch, samples):
+        drawn = []
+        sample = CellRegion.sample
+
+        def recording_sample(self, q_rng, p_rng, n):
+            q, p = sample(self, q_rng, p_rng, n)
+            drawn.append((q, p))
+            return q, p
+
+        monkeypatch.setattr(CellRegion, "sample", recording_sample)
+        cfg = make_config(perturbed_kick=6.01, steps=2, samples=samples)
+        got = reversal_probability(cfg, lyapunov_estimate=1.0)
+        (q, p), prob, std_error = all_at_once_reversal(cfg)
+        assert 0 < prob < 1  # the count is neither empty nor full
+        assert [len(q_chunk) for q_chunk, _ in drawn] == [
+            min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK)]
+        assert_same_bits(np.concatenate([q_chunk for q_chunk, _ in drawn]), q)
+        assert_same_bits(np.concatenate([p_chunk for _, p_chunk in drawn]), p)
+        assert got.probability.hex() == prob.hex()
+        assert got.std_error.hex() == std_error.hex()
+
+    def test_memory_is_bounded_by_chunks(self):
+        # 1e6 samples held at once took 38 MiB
+        cfg = make_config(perturbed_kick=6.01, steps=1, samples=1_000_000)
+        tracemalloc.start()
+        try:
+            reversal_probability(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    def test_one_sample_stream_for_one_generator(self):
+        # passing one generator twice draws all q, then all p from it
+        region = CellRegion(center=PhasePoint(3.0, 2.0), half_width=0.025)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        q, p = region.sample(rng, rng, 1000)
+        q_ref = (3.0 + twin.uniform(-0.025, 0.025, 1000)) % TWO_PI
+        p_ref = (2.0 + twin.uniform(-0.025, 0.025, 1000)) % TWO_PI
+        assert_same_bits(q, q_ref)
+        assert_same_bits(p, p_ref)
+
+
+class TestBatchedRows:
+    def test_batch_equals_one_row_at_a_time(self, monkeypatch):
+        configs = [make_config(perturbed_kick=6.01, steps=5, samples=200, seed=1),
+                   make_config(perturbed_kick=6.01, steps=3, samples=200, seed=2),
+                   make_config(perturbed_kick=6.0, steps=4, samples=300, seed=1),
+                   make_config(map=ReversibleMap(0.3), perturbed_kick=0.31, steps=5,
+                               samples=200, seed=1)]
+        want = [reversal_probability(cfg) for cfg in configs]
+        passes = []
+        rows = reversal.lyapunov_rows
+
+        def counting_rows(mapping, seeds, *args, **kwargs):
+            passes.append((mapping.kick_strength, len(seeds)))
+            return rows(mapping, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(reversal, "lyapunov_rows", counting_rows)
+        assert reversal_probabilities(configs) == want
+        # one pass per map; the two rows of kick 6 at seed 1 share one estimate
+        assert passes == [(6.0, 2), (0.3, 1)]
 
 
 class TestLyapunov:
@@ -350,6 +436,16 @@ class TestLyapunov:
         # the in-place kernel and tangent update must not move a bit
         assert lyapunov(ReversibleMap(kick), steps=1000, seed=seed) == \
             reference_lyapunov(kick, 1000, seed)
+
+    @pytest.mark.parametrize("kick", [0.3, 6.0, 14.0])
+    def test_stacked_rows_equal_reference_loop(self, kick):
+        # stacking rows must not move a bit of any row's estimate, in any order
+        # and with a seed repeated
+        want = {seed: reference_lyapunov(kick, 1000, seed).hex() for seed in (0, 7, 11)}
+        seeds = [0, 7, 11, 7]
+        for order in (seeds, seeds[::-1]):
+            got = lyapunov_rows(ReversibleMap(kick), order, steps=1000)
+            assert [lam.hex() for lam in got] == [want[seed] for seed in order]
 
     def test_minimum_effort_enforced(self):
         with pytest.raises(ValueError):
