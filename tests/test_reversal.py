@@ -69,17 +69,18 @@ def reference_lyapunov(kick, steps, seed, transient=100, n_init=32):
 def all_at_once_reversal(cfg):
     """`reversal_probability`'s Monte-Carlo before it was streamed: every
     sample drawn, stepped, flipped and counted at once (test oracle). Returns
-    the drawn (q, p), the probability and its standard error."""
+    the (q, p) given to the forward and to the perturbed stepping, the
+    probability and its standard error."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     center, half_width = cfg.region.center, cfg.region.half_width
     q0 = (center.q + rng.uniform(-half_width, half_width, cfg.samples)) % TWO_PI
     p0 = (center.p + rng.uniform(-half_width, half_width, cfg.samples)) % TWO_PI
-    q, p = cfg.map.evolve_arrays(q0, p0, cfg.steps)
-    p = (-p) % TWO_PI
-    q, p = ReversibleMap(cfg.perturbed_kick).evolve_arrays(q, p, cfg.steps)
+    q1, p1 = cfg.map.evolve_arrays(q0, p0, cfg.steps)
+    p1 = (-p1) % TWO_PI
+    q, p = ReversibleMap(cfg.perturbed_kick).evolve_arrays(q1, p1, cfg.steps)
     p = (-p) % TWO_PI
     prob = int(np.count_nonzero(cfg.region.contains(q, p))) / cfg.samples
-    return (q0, p0), prob, float(np.sqrt(prob * (1 - prob) / cfg.samples))
+    return [(q0, p0), (q1, p1)], prob, float(np.sqrt(prob * (1 - prob) / cfg.samples))
 
 
 def assert_same_bits(got, want):
@@ -350,23 +351,25 @@ class TestReversalProbability:
 class TestStreamedMonteCarlo:
     @pytest.mark.parametrize("samples", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
     def test_chunks_equal_all_at_once_route(self, monkeypatch, samples):
-        drawn = []
-        sample = CellRegion.sample
-
-        def recording_sample(self, q_rng, p_rng, n):
-            q, p = sample(self, q_rng, p_rng, n)
-            drawn.append((q, p))
-            return q, p
-
-        monkeypatch.setattr(CellRegion, "sample", recording_sample)
         cfg = make_config(perturbed_kick=6.01, steps=2, samples=samples)
+        want_inputs, prob, std_error = all_at_once_reversal(cfg)
+        inputs = []
+        evolve = ReversibleMap.evolve_arrays
+
+        def recording_evolve(self, q, p, steps):
+            inputs.append((q.copy(), p.copy()))
+            return evolve(self, q, p, steps)
+
+        monkeypatch.setattr(ReversibleMap, "evolve_arrays", recording_evolve)
         got = reversal_probability(cfg, lyapunov_estimate=1.0)
-        (q, p), prob, std_error = all_at_once_reversal(cfg)
         assert 0 < prob < 1  # the count is neither empty nor full
-        assert [len(q_chunk) for q_chunk, _ in drawn] == [
+        # each chunk is stepped forward, flipped and stepped by the perturbed map
+        forward, perturbed = inputs[0::2], inputs[1::2]
+        assert [len(q) for q, _ in forward] == [
             min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK)]
-        assert_same_bits(np.concatenate([q_chunk for q_chunk, _ in drawn]), q)
-        assert_same_bits(np.concatenate([p_chunk for _, p_chunk in drawn]), p)
+        for chunks, (q, p) in zip((forward, perturbed), want_inputs):
+            assert_same_bits(np.concatenate([q_chunk for q_chunk, _ in chunks]), q)
+            assert_same_bits(np.concatenate([p_chunk for _, p_chunk in chunks]), p)
         assert got.probability.hex() == prob.hex()
         assert got.std_error.hex() == std_error.hex()
 
