@@ -21,5 +21,6 @@ from .friend import (LabSpace, LabState, interference_measurement,
                      qutrit_observer_measurement, run_pipeline, stern_gerlach,
                      write_message)
 from .bell import (ChshSettings, LaboratoryBasis, MacroObservable,
-                   build_bell_state, chsh_value, chsh_value_sampled, correlation,
-                   correlation_sampled, facts_contradiction_report, lhv_bound)
+                   build_bell_state, chsh_summary, chsh_value, chsh_value_sampled,
+                   correlation, correlation_sampled, facts_contradiction_report,
+                   lhv_bound)

@@ -21,6 +21,9 @@ EIGENVALUE_TOL = 1e-10
 # uniforms drawn at once by `correlation_sampled`: 512 KiB, so memory stays
 # bounded for any shot count
 _SHOT_CHUNK = 65536
+# most shots per correlation: a sampled run takes ~30 ns per shot over its 4
+# correlations (2 cores), so 30 s at the cap, minutes if all 8 edges differ
+MAX_SHOTS = 10**9
 
 
 @dataclass(frozen=True)
@@ -91,24 +94,27 @@ def _branch_matrices(basis: LaboratoryBasis):
     return z, x
 
 
+def _macro(m: np.ndarray, label: str) -> MacroObservable:
+    return MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"), label=label)
+
+
+def _rotated(z: np.ndarray, x: np.ndarray, angle: float) -> MacroObservable:
+    return _macro(np.cos(angle) * z + np.sin(angle) * x, f"custom({angle})")
+
+
 def branch_projection_observable(basis: LaboratoryBasis) -> MacroObservable:
     """Z-analogue: +1 on the recorded-up branch, -1 on the recorded-down branch."""
-    z, _ = _branch_matrices(basis)
-    return MacroObservable(matrix=OperatorMatrix(z, kind="hermitian"), label="Z")
+    return _macro(_branch_matrices(basis)[0], "Z")
 
 
 def interference_observable(basis: LaboratoryBasis) -> MacroObservable:
     """X-analogue: branch-swap observable, +1/-1 on the superposition outputs."""
-    _, x = _branch_matrices(basis)
-    return MacroObservable(matrix=OperatorMatrix(x, kind="hermitian"), label="X")
+    return _macro(_branch_matrices(basis)[1], "X")
 
 
 def rotated_observable(basis: LaboratoryBasis, angle: float) -> MacroObservable:
     """cos(angle) * Z + sin(angle) * X within the branch span."""
-    z, x = _branch_matrices(basis)
-    m = np.cos(angle) * z + np.sin(angle) * x
-    return MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"),
-                           label=f"custom({angle})")
+    return _rotated(*_branch_matrices(basis), angle)
 
 
 @dataclass(frozen=True)
@@ -125,12 +131,10 @@ class ChshSettings:
                 basis_b: LaboratoryBasis | None = None) -> "ChshSettings":
         basis_a = basis_a or LaboratoryBasis.default()
         basis_b = basis_b or LaboratoryBasis.default()
-        return cls(
-            a1=branch_projection_observable(basis_a),
-            a2=interference_observable(basis_a),
-            b1=rotated_observable(basis_b, np.pi / 4),
-            b2=rotated_observable(basis_b, -np.pi / 4),
-        )
+        za, xa = _branch_matrices(basis_a)
+        zb, xb = (za, xa) if basis_b is basis_a else _branch_matrices(basis_b)
+        return cls(a1=_macro(za, "Z"), a2=_macro(xa, "X"),
+                   b1=_rotated(zb, xb, np.pi / 4), b2=_rotated(zb, xb, -np.pi / 4))
 
     def pairs(self):
         return (("a1b1", self.a1, self.b1), ("a1b2", self.a1, self.b2),
@@ -142,8 +146,9 @@ def build_bell_state(basis_a: LaboratoryBasis | None = None,
     """Laboratory-level singlet: (|up_A down_B> - |down_A up_B>) / sqrt(2)."""
     basis_a = basis_a or LaboratoryBasis.default()
     basis_b = basis_b or LaboratoryBasis.default()
-    amps = (np.kron(basis_a.up_state.amplitudes, basis_b.down_state.amplitudes)
-            - np.kron(basis_a.down_state.amplitudes, basis_b.up_state.amplitudes))
+    outer = np.multiply.outer  # np.kron of two vectors, without its overhead
+    amps = (outer(basis_a.up_state.amplitudes, basis_b.down_state.amplitudes).ravel()
+            - outer(basis_a.down_state.amplitudes, basis_b.up_state.amplitudes).ravel())
     return StateVector(amps / np.sqrt(2.0))
 
 
@@ -196,10 +201,11 @@ def correlation_sampled(state: StateVector, obs_a: MacroObservable, obs_b: Macro
     Bit for bit the draws of `rng.choice(9, size=shots, p=probs)`, leaving the
     generator in the same state: a uniform u falls in bin #{k: cdf[k] <= u}, so
     #{u >= cdf[k]} draws lie beyond bin k and the outcome sum is an exact integer.
-    The uniforms come `_SHOT_CHUNK` at a time, which draws the same stream.
+    Each distinct edge is counted once, and 1.0 never. The uniforms come
+    `_SHOT_CHUNK` at a time, which draws the same stream.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
     m = state.amplitudes.reshape(LAB_DIM, LAB_DIM)
     proj_b = obs_b.outcome_projectors()
     outcomes, probs = [], []
@@ -214,11 +220,13 @@ def correlation_sampled(state: StateVector, obs_a: MacroObservable, obs_b: Macro
         raise ValueError("probabilities contain NaN")
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    beyond = [shots] + [0] * cdf.size
+    edges, slot = np.unique(cdf, return_inverse=True)  # edges[-1] is cdf[-1] = 1.0
+    counts = [0] * edges.size
     for start in range(0, shots, _SHOT_CHUNK):
         u = rng.random(min(_SHOT_CHUNK, shots - start))
-        for k, c in enumerate(cdf, 1):
-            beyond[k] += np.count_nonzero(u >= c)
+        for i in range(edges.size - 1):  # every u is below 1.0
+            counts[i] += np.count_nonzero(u >= edges[i])
+    beyond = [shots] + [counts[i] for i in slot.tolist()]
     return float(sum(v * (beyond[k] - beyond[k + 1]) for k, v in enumerate(outcomes)) / shots)
 
 
@@ -230,11 +238,14 @@ def chsh_value_sampled(state: StateVector, settings: ChshSettings, shots: int,
 
 def facts_contradiction_report(state: StateVector,
                                settings: ChshSettings | None = None) -> dict:
-    """CHSH value vs the deterministic-assignment ceiling, and whether joint
-    outside/inside records are excluded.
-    """
+    """`chsh_summary` of the exact correlations."""
     settings = settings or ChshSettings.default()
-    correlations = {name: correlation(state, a, b) for name, a, b in settings.pairs()}
+    return chsh_summary({name: correlation(state, a, b) for name, a, b in settings.pairs()})
+
+
+def chsh_summary(correlations: dict) -> dict:
+    """CHSH value of exact or sampled correlations vs the deterministic-assignment
+    ceiling, and whether joint outside/inside records are excluded."""
     chsh = chsh_from_correlations(correlations)
     classical = lhv_bound()
     return {

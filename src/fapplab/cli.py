@@ -125,8 +125,9 @@ def resolve_config(experiment: str, raw: dict) -> dict:
             raise ConfigError("delta_kick must be non-negative")
         if not cfg["t_values"]:
             raise ConfigError("t_values must not be empty")
-    elif experiment == "bell" and not cfg["sampled"] and cfg["shots"] < 1:
-        raise ConfigError("shots must be positive")
+    elif (experiment == "bell" and not cfg["sampled"]
+          and not 1 <= cfg["shots"] <= bell_mod.MAX_SHOTS):
+        raise ConfigError(f"shots must be between 1 and {bell_mod.MAX_SHOTS}")
     return cfg
 
 
@@ -244,11 +245,11 @@ def _run_bell(cfg: dict, seed: int, buf) -> str:
                 for name, a, b in settings.pairs()}
     else:
         corr = {name: bell_mod.correlation(state, a, b) for name, a, b in settings.pairs()}
-    chsh = bell_mod.chsh_from_correlations(corr)
+    report = bell_mod.chsh_summary(corr)
+    chsh, classical = report["chsh_value"], report["lhv_bound"]
     for name in ("a1b1", "a1b2", "a2b1", "a2b2"):
         buf.write(f"{name},{corr[name]!r}\n")
-    classical = bell_mod.lhv_bound()
-    buf.write(f"# chsh={chsh:.6f} lhv_bound={classical:.6f} margin={chsh - classical:.6f}\n")
+    buf.write(f"# chsh={chsh:.6f} lhv_bound={classical:.6f} margin={report['margin']:.6f}\n")
     mode = "sampled" if cfg["sampled"] else "exact"
     return f"bell mode={mode} chsh={chsh:.6f} lhv_bound={classical:.6f}"
 

@@ -15,12 +15,13 @@ which-outcome information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StageError
-from .qcore import OperatorMatrix, ProductSpace, StateVector, tensor_all
+from .qcore import OperatorMatrix, ProductSpace, StateVector
 
 STAGES = ("initial", "post-stern-gerlach", "post-observer", "post-message")
 
@@ -38,14 +39,12 @@ class LabSpace:
     """Five-system laboratory layout; observer dimension 2 or 3."""
 
     observer_dim: int = 2
+    layout: ProductSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.observer_dim not in (2, 3):
             raise ValueError("observer dimension must be 2 or 3")
-
-    @property
-    def layout(self) -> ProductSpace:
-        return ProductSpace((2, 2, 2, self.observer_dim, 3))
+        object.__setattr__(self, "layout", ProductSpace((2, 2, 2, self.observer_dim, 3)))
 
     @property
     def total_dim(self) -> int:
@@ -96,7 +95,7 @@ def _apply_local(state: LabState, gate: OperatorMatrix, first_factor: int,
     """Apply a gate on the adjacent factors starting at `first_factor`: the
     amplitudes are reshaped to (left, gate.dim, right) and multiplied once.
     """
-    left = int(np.prod(state.space.layout.factor_dims[:first_factor]))
+    left = math.prod(state.space.layout.factor_dims[:first_factor])
     amps = state.psi.amplitudes.reshape(left, gate.dim, -1)
     return LabState(space=state.space,
                     psi=StateVector(np.matmul(gate.entries, amps)),
@@ -105,14 +104,17 @@ def _apply_local(state: LabState, gate: OperatorMatrix, first_factor: int,
 
 def prepare_initial(space: LabSpace) -> LabState:
     """Atom along +x, both organs down, observer ready, message blank."""
-    psi = tensor_all([
-        StateVector(X_PLUS),
-        StateVector(Z_MINUS),
-        StateVector(Z_MINUS),
-        StateVector(space.observer_ready()),
-        StateVector(MESSAGE_BLANK),
-    ])
-    return LabState(space=space, psi=psi, stage="initial")
+    layout = space.layout
+    amps = np.zeros(layout.total_dim, dtype=complex)
+    for atom in (0, 1):
+        amps[layout.flat_index((atom, 1, 1, space.ready_index, 2))] = X_PLUS[atom]
+    return LabState(space=space, psi=StateVector(amps), stage="initial")
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) as an outer product and a reshape: the same products, so
+    the same bits, without np.kron's overhead."""
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(len(a) * len(b), -1)
 
 
 def stern_gerlach_unitary(space: LabSpace) -> OperatorMatrix:
@@ -121,8 +123,7 @@ def stern_gerlach_unitary(space: LabSpace) -> OperatorMatrix:
     """
     p_up = np.outer(Z_PLUS, Z_PLUS.conj())
     p_down = np.outer(Z_MINUS, Z_MINUS.conj())
-    u123 = (np.kron(np.kron(p_up, FLIP), np.eye(2))
-            + np.kron(np.kron(p_down, np.eye(2)), FLIP))
+    u123 = _kron(_kron(p_up, FLIP), np.eye(2)) + _kron(_kron(p_down, np.eye(2)), FLIP)
     return OperatorMatrix(u123, kind="unitary")
 
 
@@ -144,11 +145,11 @@ def observer_unitary(space: LabSpace) -> OperatorMatrix:
     else:
         g_up[[0, ready]] = g_up[[ready, 0]]
         g_down[[1, ready]] = g_down[[ready, 1]]
-    p_up_branch = np.kron(np.outer(Z_PLUS, Z_PLUS.conj()), np.outer(Z_MINUS, Z_MINUS.conj()))
-    p_down_branch = np.kron(np.outer(Z_MINUS, Z_MINUS.conj()), np.outer(Z_PLUS, Z_PLUS.conj()))
+    p_up_branch = _kron(np.outer(Z_PLUS, Z_PLUS.conj()), np.outer(Z_MINUS, Z_MINUS.conj()))
+    p_down_branch = _kron(np.outer(Z_MINUS, Z_MINUS.conj()), np.outer(Z_PLUS, Z_PLUS.conj()))
     p_rest = np.eye(4) - p_up_branch - p_down_branch
-    u234 = (np.kron(p_up_branch, g_up) + np.kron(p_down_branch, g_down)
-            + np.kron(p_rest, np.eye(d4)))
+    u234 = (_kron(p_up_branch, g_up) + _kron(p_down_branch, g_down)
+            + _kron(p_rest, np.eye(d4)))
     return OperatorMatrix(u234, kind="unitary")
 
 
@@ -181,10 +182,12 @@ def branch_states(space: LabSpace) -> tuple[StateVector, StateVector]:
 
 def interference_states(space: LabSpace) -> tuple[StateVector, StateVector]:
     """Superposition-basis output states (branch sum and difference)."""
-    up, down = branch_states(space)
-    plus = StateVector((up.amplitudes + down.amplitudes) / np.sqrt(2.0))
-    minus = StateVector((up.amplitudes - down.amplitudes) / np.sqrt(2.0))
-    return plus, minus
+    return _superpositions(*branch_states(space))
+
+
+def _superpositions(up: StateVector, down: StateVector) -> tuple[StateVector, StateVector]:
+    return (StateVector((up.amplitudes + down.amplitudes) / np.sqrt(2.0)),
+            StateVector((up.amplitudes - down.amplitudes) / np.sqrt(2.0)))
 
 
 def interference_measurement(state, space: LabSpace | None = None):
@@ -195,31 +198,34 @@ def interference_measurement(state, space: LabSpace | None = None):
     (p_plus, p_minus, p_rest) with p_rest the weight outside the two-output span.
     """
     if isinstance(state, LabState):
-        space = state.space
-        plus, minus = interference_states(space)
-        _require_stage(state, "post-observer", "post-message")
-        p_plus = _subsystem_probability(state, plus)
-        p_minus = _subsystem_probability(state, minus)
+        return _lab_interference(state, *interference_states(state.space))
+    if space is None:
+        space = LabSpace(observer_dim=2)
+    plus, minus = interference_states(space)
+    if isinstance(state, StateVector):
+        if state.dim != plus.dim:
+            raise ValueError(f"expected a state of dimension {plus.dim}")
+        p_plus = abs(np.vdot(plus.amplitudes, state.amplitudes)) ** 2
+        p_minus = abs(np.vdot(minus.amplitudes, state.amplitudes)) ** 2
+    elif isinstance(state, OperatorMatrix):
+        if state.dim != plus.dim:
+            raise ValueError(f"expected an operator of dimension {plus.dim}")
+        if not state.is_density():
+            raise ValueError("operator input must be a density matrix")
+        p_plus = float(np.real(plus.amplitudes.conj() @ state.entries @ plus.amplitudes))
+        p_minus = float(np.real(minus.amplitudes.conj() @ state.entries @ minus.amplitudes))
     else:
-        if space is None:
-            space = LabSpace(observer_dim=2)
-        plus, minus = interference_states(space)
-        if isinstance(state, StateVector):
-            if state.dim != plus.dim:
-                raise ValueError(f"expected a state of dimension {plus.dim}")
-            p_plus = abs(np.vdot(plus.amplitudes, state.amplitudes)) ** 2
-            p_minus = abs(np.vdot(minus.amplitudes, state.amplitudes)) ** 2
-        elif isinstance(state, OperatorMatrix):
-            if state.dim != plus.dim:
-                raise ValueError(f"expected an operator of dimension {plus.dim}")
-            if not state.is_density():
-                raise ValueError("operator input must be a density matrix")
-            p_plus = float(np.real(plus.amplitudes.conj() @ state.entries @ plus.amplitudes))
-            p_minus = float(np.real(minus.amplitudes.conj() @ state.entries @ minus.amplitudes))
-        else:
-            raise TypeError("state must be LabState, StateVector, or OperatorMatrix")
-    p_rest = max(0.0, 1.0 - p_plus - p_minus)
-    return float(p_plus), float(p_minus), float(p_rest)
+        raise TypeError("state must be LabState, StateVector, or OperatorMatrix")
+    return _with_rest(p_plus, p_minus)
+
+
+def _lab_interference(state: LabState, plus: StateVector, minus: StateVector):
+    _require_stage(state, "post-observer", "post-message")
+    return _with_rest(_subsystem_probability(state, plus), _subsystem_probability(state, minus))
+
+
+def _with_rest(p_plus, p_minus):
+    return float(p_plus), float(p_minus), float(max(0.0, 1.0 - p_plus - p_minus))
 
 
 def _subsystem_probability(state: LabState, target_14: StateVector) -> float:
@@ -248,16 +254,22 @@ def message_reduced_state(state: LabState) -> OperatorMatrix:
 
 
 def message_purity(state: LabState) -> float:
-    rho = message_reduced_state(state)
+    return _purity(message_reduced_state(state))
+
+
+def _purity(rho: OperatorMatrix) -> float:
     return float(np.real(np.trace(rho.entries @ rho.entries)))
 
 
 def message_mutual_information(state: LabState) -> float:
     """Mutual information between the message and the rest (0 for a product state)."""
+    return _mutual_information(state, message_reduced_state(state))
+
+
+def _mutual_information(state: LabState, rho5: OperatorMatrix) -> float:
     m = state.psi.amplitudes.reshape(-1, 3)
-    s5 = _entropy(message_reduced_state(state))
     s14 = _entropy(_reduced(m @ m.conj().T))
-    return s5 + s14  # global state is pure, so S(total) = 0
+    return _entropy(rho5) + s14  # global state is pure, so S(total) = 0
 
 
 def _entropy(rho: OperatorMatrix) -> float:
@@ -293,15 +305,15 @@ def run_pipeline(space: LabSpace | None = None) -> dict:
     """Full experiment with a report of the quantities the outside agent checks."""
     if space is None:
         space = LabSpace(observer_dim=2)
-    state0 = prepare_initial(space)
-    state_t = stern_gerlach(state0)
-    state_tp = observer_coupling(state_t)
-    plus, _ = interference_states(space)
+    state_tp = observer_coupling(stern_gerlach(prepare_initial(space)))
+    up, down = branch_states(space)  # one set of states serves every readout
+    plus, minus = _superpositions(up, down)
 
-    p_plus_pre, p_minus_pre, p_rest_pre = interference_measurement(state_tp)
-    b_up, b_down = branch_probabilities(state_tp)
+    p_plus_pre, p_minus_pre, p_rest_pre = _lab_interference(state_tp, plus, minus)
+    b_up, b_down = _subsystem_probability(state_tp, up), _subsystem_probability(state_tp, down)
     state_msg = write_message(state_tp)
-    p_plus_post, p_minus_post, p_rest_post = interference_measurement(state_msg)
+    p_plus_post, p_minus_post, p_rest_post = _lab_interference(state_msg, plus, minus)
+    rho5 = message_reduced_state(state_msg)
 
     m = state_tp.psi.amplitudes.reshape(8 * space.observer_dim, 3)
     blank_component = m @ MESSAGE_BLANK.conj()
@@ -318,6 +330,6 @@ def run_pipeline(space: LabSpace | None = None) -> dict:
         "p_plus_post_message": p_plus_post,
         "p_minus_post_message": p_minus_post,
         "p_rest_post_message": p_rest_post,
-        "message_purity": message_purity(state_msg),
-        "message_mutual_information": message_mutual_information(state_msg),
+        "message_purity": _purity(rho5),
+        "message_mutual_information": _mutual_information(state_msg, rho5),
     }

@@ -8,6 +8,7 @@ elementwise, so global phases are irrelevant across the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,7 @@ class ProductSpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.factor_dims))
+        return math.prod(self.factor_dims)
 
     @property
     def nfactors(self) -> int:

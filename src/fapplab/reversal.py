@@ -25,6 +25,9 @@ TWO_PI = 2.0 * np.pi
 #: samples per block of the map kernel: two 128 KB coordinate slices and
 #: their small temporaries stay in L2 across all steps of a block
 _CHUNK = 16384
+#: most Monte-Carlo samples per row: the default t_values take ~3.5 us per sample
+#: over their three rows (2 cores), so 6 minutes at the cap, more for longer t
+MAX_SAMPLES = 10**8
 
 
 def _wrap(x) -> None:
@@ -196,8 +199,8 @@ class ReversalConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("step count must be non-negative")
-        if self.samples < 100:
-            raise ValueError("need at least 100 Monte-Carlo samples")
+        if not 100 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"need 100 to {MAX_SAMPLES} Monte-Carlo samples")
         if not np.isfinite(self.perturbed_kick) or self.perturbed_kick < 0:
             raise ValueError("perturbed kick strength must be finite and non-negative")
 

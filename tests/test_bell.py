@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, ProductSpace, StateVector, partial_trace
 from fapplab.bell import (_SHOT_CHUNK, LAB_DIM, ChshSettings, LaboratoryBasis, MacroObservable,
-                          branch_projection_observable, build_bell_state, chsh_value,
+                          branch_projection_observable, build_bell_state, chsh_summary,
+                          chsh_value,
                           chsh_value_sampled, correlation, correlation_sampled,
                           facts_contradiction_report, interference_observable,
                           lhv_bound, rotated_observable)
@@ -37,6 +38,12 @@ def kron_oracle(state, obs_a, obs_b):
 class TestBellState:
     def test_normalized(self, state):
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+
+    def test_bits_equal_kron_construction(self, basis):
+        up, down = basis.up_state.amplitudes, basis.down_state.amplitudes
+        want = (np.kron(up, down) - np.kron(down, up)) / np.sqrt(2.0)
+        got = build_bell_state(basis, basis).amplitudes
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_reduced_laboratory_is_even_branch_mixture(self, state, basis):
         space = ProductSpace((LAB_DIM, LAB_DIM))
@@ -278,6 +285,40 @@ class TestSamplingBitIdentity:
                 assert got.hex() == want.hex()
 
 
+class TestDistinctBinEdges:
+    """Only the distinct cdf edges below 1 are counted; the value and the
+    generator state must still be those of `Generator.choice`.
+    """
+
+    @pytest.fixture(scope="class")
+    def cases(self, state, settings, basis):
+        up, down = basis.up_state.amplitudes, basis.down_state.amplitudes
+        z = branch_projection_observable(basis)
+        half = StateVector(np.kron(up, (up + down) / SQRT2))  # Z(x)Z bins: 1/2, 1/2, 0...
+        pure = StateVector(np.kron(up, up))  # one certain bin: every edge is 1
+        return [(state, a, b) for _, a, b in settings.pairs()] + [(half, z, z), (pure, z, z)]
+
+    def test_cases_have_repeated_edges_and_early_ones(self, cases):
+        distinct_below_one = []
+        for psi, a, b in cases:
+            _, probs = outcome_distribution(psi, a, b)
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            assert cdf[-2] == 1.0  # an edge of 1.0 before the end
+            distinct_below_one.append(np.unique(cdf[cdf < 1.0]).size)
+        # the singlet's 0.5 edge repeats: 3 edges of 9 on every default pair
+        assert distinct_below_one == [3, 3, 3, 3, 1, 0]
+
+    @pytest.mark.parametrize("shots", [_SHOT_CHUNK - 1, _SHOT_CHUNK + 1, 2 * _SHOT_CHUNK + 7])
+    def test_equals_choice_route(self, cases, shots):
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        for psi, a, b in cases:
+            got = correlation_sampled(psi, a, b, shots, rng)
+            want = choice_route(psi, a, b, shots, ref_rng)
+            assert got.hex() == want.hex()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestFactsReport:
     def test_default_run_excludes_coexistence(self, state):
         report = facts_contradiction_report(state)
@@ -291,6 +332,17 @@ class TestFactsReport:
                                       basis.down_state.amplitudes))
         report = facts_contradiction_report(product, settings)
         assert report["coexistence_excluded"] is False
+
+    def test_summary_of_sampled_correlations(self, state, settings):
+        rng = np.random.default_rng(4)
+        corr = {name: correlation_sampled(state, a, b, 5000, rng)
+                for name, a, b in settings.pairs()}
+        report = chsh_summary(corr)
+        assert report["correlations"] is corr
+        assert report["chsh_value"] == chsh_value_sampled(state, settings, 5000,
+                                                          np.random.default_rng(4))
+        assert report["margin"] == report["chsh_value"] - 2.0
+        assert report["coexistence_excluded"] is True
 
     def test_commuting_settings_not_excluded(self, state, basis, settings):
         z = branch_projection_observable(basis)

@@ -1,17 +1,30 @@
 import os
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fapplab import bell as bell_mod, echo as echo_mod, reversal as rev_mod
+from fapplab import (bell as bell_mod, echo as echo_mod, friend as friend_mod, qcore,
+                     reversal as rev_mod)
 from fapplab.cli import EXPERIMENTS, PARAM_TABLE, main, parse_config_file, resolve_config
 from fapplab.errors import ConfigError
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+class NoDraws(np.random.Generator):
+    """A generator that fails the test if a Bell shot is drawn."""
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("a shot was drawn before the shot count was checked")
+
+
+def no_draws_rng(seed=None):
+    return NoDraws(np.random.PCG64(seed))
 
 
 def write_config(path, **pairs):
@@ -92,8 +105,15 @@ class TestExitCodes:
         ("qfunction", "grid_nodes", "1003"),
         ("qfunction", "grid_nodes", "3000000"),
         ("echo", "ensemble", "1000000000"),
+        ("bell", "shots", "100000000000"),
+        ("classical-reverse", "samples", "10000000000"),
     ])
-    def test_invalid_value_is_2(self, tmp_path, capsys, experiment, key, value):
+    def test_invalid_value_is_2(self, tmp_path, capsys, monkeypatch, experiment, key, value):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("samples were drawn before the sample count was checked")
+
+        monkeypatch.setattr(rev_mod.CellRegion, "sample", must_not_run)
+        monkeypatch.setattr(np.random, "default_rng", no_draws_rng)
         cfg = write_config(tmp_path / "c.cfg", experiment=experiment, **{key: value})
         out = tmp_path / "o.csv"
         assert run_cli("--config", cfg, "--out", str(out)) == 2
@@ -133,6 +153,16 @@ class TestExitCodes:
 
         monkeypatch.setattr(echo_mod.GaussianPerturbation, "draw_values", must_not_run)
         cfg = write_config(tmp_path / "c.cfg", experiment="echo", ensemble="1000000000")
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", cfg, "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sampled_bell_rejects_huge_shots_before_drawing_any(self, tmp_path, capsys,
+                                                                monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", no_draws_rng)
+        cfg = write_config(tmp_path / "c.cfg", experiment="bell", sampled="true",
+                           shots=str(bell_mod.MAX_SHOTS + 1))
         out = tmp_path / "o.csv"
         assert run_cli("--config", cfg, "--out", str(out)) == 2
         assert "config error" in capsys.readouterr().err
@@ -254,6 +284,39 @@ class TestReproducibility:
         assert run_cli("--config", cfg, "--seed", "7", "--out", str(b)) == 0
         assert passes == [3, 3]
         assert a.read_bytes() == b.read_bytes()
+
+    def test_lab_objects_are_built_in_every_run(self, tmp_path, monkeypatch):
+        # nothing carries over between runs in one process: every run builds
+        # and validates each of its objects once, the second run as the first
+        built = Counter()
+
+        def counting(owner, name, key):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                built[key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(bell_mod.MacroObservable, "__post_init__", "observables")
+        counting(friend_mod, "branch_states", "branch_states")
+        counting(friend_mod, "_superpositions", "superpositions")
+        counting(qcore.StateVector, "__init__", "states")
+        counting(qcore.OperatorMatrix, "__init__", "operators")
+        made, outs = [], []
+        for experiment in ("bell", "bell", "friend", "friend"):
+            outs.append(tmp_path / f"{len(outs)}.out")
+            before = built.copy()
+            assert run_cli("--experiment", experiment, "--out", str(outs[-1])) == 0
+            made.append(built - before)
+        # bell: two branch states and the pair state, four observables on
+        # their matrices; friend: four stage states, two branches and two
+        # superpositions, three gates and two reduced states
+        assert made[0] == made[1] == Counter(observables=4, states=3, operators=4)
+        assert made[2] == made[3] == Counter(branch_states=1, superpositions=1,
+                                             states=8, operators=5)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[2].read_bytes() == outs[3].read_bytes()
 
     def test_thread_count_does_not_change_numbers(self, tmp_path):
         out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"

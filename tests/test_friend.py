@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from fapplab.errors import StageError
 from fapplab.qcore import (OperatorMatrix, StateVector, partial_trace, tensor_all)
-from fapplab.friend import (MESSAGE_BLANK, LabSpace, LabState, branch_probabilities,
+from fapplab.friend import (FLIP, MESSAGE_BLANK, X_PLUS, Z_MINUS, Z_PLUS, LabSpace,
+                            LabState, branch_probabilities,
                             branch_states, interference_measurement,
                             interference_states, message_mutual_information,
                             message_purity, message_reduced_state, observer_coupling,
@@ -45,6 +46,12 @@ class TestPreparation:
 
     def test_stage(self, space):
         assert prepare_initial(space).stage == "initial"
+
+    def test_bits_equal_tensor_product(self, space):
+        want = tensor_all([StateVector(X_PLUS), StateVector(Z_MINUS), StateVector(Z_MINUS),
+                           StateVector(space.observer_ready()), StateVector(MESSAGE_BLANK)])
+        got = prepare_initial(space).psi.amplitudes
+        assert np.array_equal(got.view(np.int64), want.amplitudes.view(np.int64))
 
 
 class TestSternGerlach:
@@ -244,6 +251,37 @@ class TestPipelineReport:
         assert report["p_plus_post_message"] == pytest.approx(1.0, abs=1e-12)
         assert report["message_purity"] == pytest.approx(1.0, abs=1e-12)
         assert report["message_mutual_information"] < 1e-10
+
+
+class TestUnitariesAgainstKron:
+    """The gates are built without np.kron; every bit, signed zeros included,
+    must match the chained np.kron construction.
+    """
+
+    @staticmethod
+    def same_bits(gate, want):
+        return np.array_equal(gate.entries.view(np.int64), want.view(np.int64))
+
+    def test_stern_gerlach(self, space):
+        p_up, p_down = np.outer(Z_PLUS, Z_PLUS.conj()), np.outer(Z_MINUS, Z_MINUS.conj())
+        want = (np.kron(np.kron(p_up, FLIP), np.eye(2))
+                + np.kron(np.kron(p_down, np.eye(2)), FLIP))
+        assert self.same_bits(stern_gerlach_unitary(space), want)
+
+    def test_observer(self, space):
+        d4, ready = space.observer_dim, space.ready_index
+        g_up, g_down = np.eye(d4, dtype=complex), np.eye(d4, dtype=complex)
+        if d4 == 2:
+            g_down = FLIP
+        else:
+            g_up[[0, ready]] = g_up[[ready, 0]]
+            g_down[[1, ready]] = g_down[[ready, 1]]
+        p_up, p_down = np.outer(Z_PLUS, Z_PLUS.conj()), np.outer(Z_MINUS, Z_MINUS.conj())
+        up_branch, down_branch = np.kron(p_up, p_down), np.kron(p_down, p_up)
+        rest = np.eye(4) - up_branch - down_branch
+        want = (np.kron(up_branch, g_up) + np.kron(down_branch, g_down)
+                + np.kron(rest, np.eye(d4)))
+        assert self.same_bits(observer_unitary(space), want)
 
 
 class TestLocalGatesAgainstFullSpaceOracle:
