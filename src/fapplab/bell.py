@@ -230,19 +230,6 @@ def correlation_sampled(state: StateVector, obs_a: MacroObservable, obs_b: Macro
     return float(sum(v * (beyond[k] - beyond[k + 1]) for k, v in enumerate(outcomes)) / shots)
 
 
-def chsh_value_sampled(state: StateVector, settings: ChshSettings, shots: int,
-                       rng: np.random.Generator) -> float:
-    return chsh_from_correlations({name: correlation_sampled(state, a, b, shots, rng)
-                                   for name, a, b in settings.pairs()})
-
-
-def facts_contradiction_report(state: StateVector,
-                               settings: ChshSettings | None = None) -> dict:
-    """`chsh_summary` of the exact correlations."""
-    settings = settings or ChshSettings.default()
-    return chsh_summary({name: correlation(state, a, b) for name, a, b in settings.pairs()})
-
-
 def chsh_summary(correlations: dict) -> dict:
     """CHSH value of exact or sampled correlations vs the deterministic-assignment
     ceiling, and whether joint outside/inside records are excluded."""

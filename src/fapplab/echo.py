@@ -23,10 +23,9 @@ import numpy as np
 from .errors import ToleranceError
 from .qcore import OperatorMatrix, StateVector
 from .spincoarse import (MAX_ENSEMBLE, SphereGrid, SpinSystem, _mixture_q, _node_overlaps,
-                         bhattacharyya, q_function_pure)
+                         q_function_pure)
 
 SIGMA_BYPASS = 1e-15  # below this the ensemble collapses onto its means exactly
-DIAGONAL_TOL = 1e-12
 SIGMA_SPACING_FACTOR = 0.2  # "spread well below the level spacing", made operational
 
 
@@ -57,11 +56,6 @@ class SpectralHamiltonian:
     @property
     def mean_spacing(self) -> float:
         return float(np.diff(self.eigenvalues).mean())
-
-    def matrix(self) -> OperatorMatrix:
-        u = self.eigenbasis.entries
-        m = (u * self.eigenvalues) @ u.conj().T
-        return OperatorMatrix(0.5 * (m + m.conj().T), kind="hermitian")
 
     @classmethod
     def random_dicke_diagonal(cls, sys: SpinSystem, seed: int) -> "SpectralHamiltonian":
@@ -111,54 +105,6 @@ class GaussianPerturbation:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(index),)))
         return self.means + self.sigma / np.sqrt(2.0) * rng.standard_normal(self.means.size)
-
-
-def draw_perturbation(pert: GaussianPerturbation, index: int) -> OperatorMatrix:
-    """Perturbation operator of one ensemble member, diagonal in the H0 eigenbasis."""
-    values = pert.draw_values(index)
-    u = pert.h0.eigenbasis.entries
-    mat = (u * values) @ u.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    return OperatorMatrix(mat, kind="hermitian")
-
-
-def _diagonal_values(h0: SpectralHamiltonian, v: OperatorMatrix) -> np.ndarray:
-    """Eigenbasis representation of V; rejects anything not diagonal there."""
-    if v.dim != h0.sys.dim:
-        raise ValueError("perturbation dimension mismatch")
-    u = h0.eigenbasis.entries
-    in_basis = u.conj().T @ v.entries @ u
-    off = in_basis - np.diag(np.diag(in_basis))
-    worst = np.max(np.abs(off))
-    if worst > DIAGONAL_TOL:
-        raise ToleranceError(
-            f"perturbation is not diagonal in the reference eigenbasis "
-            f"(off-diagonal {worst:.3e}); the shared-eigenvector model does not apply")
-    diag = np.diag(in_basis)
-    if np.max(np.abs(diag.imag)) > DIAGONAL_TOL:
-        raise ToleranceError("perturbation has non-real eigenvalues")
-    return diag.real
-
-
-def combined_evolution(psi: StateVector, h0: SpectralHamiltonian,
-                       v: OperatorMatrix, t: float) -> StateVector:
-    """exp(+i(H0+V)t) exp(-iH0t)|psi>: phase profile e^{i V_alpha t} per level."""
-    if psi.dim != h0.sys.dim:
-        raise ValueError("state dimension mismatch")
-    values = _diagonal_values(h0, v)
-    u = h0.eigenbasis.entries
-    coeff = u.conj().T @ psi.amplitudes
-    return StateVector(u @ (np.exp(1j * values * t) * coeff))
-
-
-def reversibility_measure(psi: StateVector, h0: SpectralHamiltonian, v: OperatorMatrix,
-                          t: float, sys: SpinSystem, grid: SphereGrid) -> float:
-    """Bhattacharyya overlap between the macroscopic states before and after
-    the forward-then-imperfectly-reversed evolution.
-    """
-    before = q_function_pure(psi, sys, grid)
-    after = q_function_pure(combined_evolution(psi, h0, v, t), sys, grid)
-    return bhattacharyya(before, after)
 
 
 def _check_times(times: np.ndarray):

@@ -54,21 +54,6 @@ class LabSpace:
     def ready_index(self) -> int:
         return 0 if self.observer_dim == 2 else 2
 
-    def observer_ready(self) -> np.ndarray:
-        v = np.zeros(self.observer_dim, dtype=complex)
-        v[self.ready_index] = 1.0
-        return v
-
-    def knows_up(self) -> np.ndarray:
-        v = np.zeros(self.observer_dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
-    def knows_down(self) -> np.ndarray:
-        v = np.zeros(self.observer_dim, dtype=complex)
-        v[1] = 1.0
-        return v
-
 
 @dataclass(frozen=True)
 class LabState:
@@ -276,29 +261,6 @@ def _entropy(rho: OperatorMatrix) -> float:
     evals = np.linalg.eigvalsh(rho.entries)
     evals = evals[evals > 1e-15]
     return float(-np.sum(evals * np.log(evals)))
-
-
-def qutrit_observer_measurement(state) -> tuple[float, float]:
-    """Two-outcome readout of the qutrit observer encoding: "saw a definite
-    outcome" projects onto span{|0>, |1>}, "no definite outcome" onto |2>.
-    """
-    p1 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    if isinstance(state, StateVector):
-        if state.dim != 3:
-            raise ValueError("qutrit readout needs a three-dimensional state")
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    elif isinstance(state, OperatorMatrix):
-        if state.dim != 3:
-            raise ValueError("qutrit readout needs a three-dimensional state")
-        if not state.is_density():
-            raise ValueError("operator input must be a density matrix")
-        rho = state.entries
-    else:
-        raise TypeError("state must be StateVector or OperatorMatrix")
-    p_definite = float(np.real(np.trace(p1 @ rho)))
-    p_indefinite = float(np.real(np.trace(p2 @ rho)))
-    return p_definite, p_indefinite
 
 
 def run_pipeline(space: LabSpace | None = None) -> dict:

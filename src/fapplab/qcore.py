@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: state vectors, operators, tensor products,
-partial trace, expectation values, and unitary time evolution (hbar = 1).
+"""Dense complex linear algebra: state vectors, operators, tensor products
+and the partial trace.
 
 Composite indexing is row-major throughout: the leftmost tensor factor is
 the most significant index. States are compared by |<a|b>|, never
@@ -19,7 +19,6 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 NORM_TOL = 1e-12
-IMAG_TOL = 1e-10
 
 _KINDS = ("generic", "hermitian", "unitary", "projector")
 
@@ -114,10 +113,6 @@ class OperatorMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
 
-    @classmethod
-    def identity(cls, dim: int) -> "OperatorMatrix":
-        return cls(np.eye(dim), kind="projector")
-
     def is_density(self, tol: float = 1e-10) -> bool:
         m = self.entries
         if np.max(np.abs(m - m.conj().T)) > tol:
@@ -160,15 +155,6 @@ class ProductSpace:
                 raise ValueError(f"factor index {k} out of range for dim {d}")
             flat = flat * d + k
         return flat
-
-    def multi_index(self, flat: int) -> tuple:
-        if not 0 <= flat < self.total_dim:
-            raise ValueError(f"flat index {flat} out of range")
-        out = []
-        for d in reversed(self.factor_dims):
-            out.append(flat % d)
-            flat //= d
-        return tuple(reversed(out))
 
 
 def tensor(a, b):
@@ -231,34 +217,3 @@ def partial_trace(rho: OperatorMatrix, space: ProductSpace, keep) -> OperatorMat
     if abs(tr - 1.0) > 1e-10:
         raise ToleranceError(f"partial trace lost normalization: trace {tr!r}")
     return OperatorMatrix(reduced, kind="hermitian")
-
-
-def expectation(op: OperatorMatrix, psi: StateVector) -> float:
-    """<psi|op|psi> for a Hermitian op; the imaginary residue must be < 1e-10."""
-    if op.dim != psi.dim:
-        raise ValueError(f"dimension mismatch: {op.dim} vs {psi.dim}")
-    _require_hermitian(op.entries)
-    val = complex(np.vdot(psi.amplitudes, op.entries @ psi.amplitudes))
-    if abs(val.imag) >= IMAG_TOL:
-        raise ToleranceError(f"expectation has imaginary residue {val.imag:.3e} (>= {IMAG_TOL})")
-    return val.real
-
-
-def evolve(psi: StateVector, hamiltonian: OperatorMatrix, t: float) -> StateVector:
-    """exp(-i H t)|psi> via Hermitian eigendecomposition (exact at any t)."""
-    if hamiltonian.dim != psi.dim:
-        raise ValueError(f"dimension mismatch: {hamiltonian.dim} vs {psi.dim}")
-    _require_hermitian(hamiltonian.entries)
-    energies, basis = np.linalg.eigh(hamiltonian.entries)
-    coeff = basis.conj().T @ psi.amplitudes
-    out = basis @ (np.exp(-1j * energies * t) * coeff)
-    norm = np.linalg.norm(out)
-    if abs(norm - 1.0) > 1e-10:
-        raise ToleranceError(f"evolution broke normalization: {norm!r}")
-    return StateVector(out / norm)
-
-
-def _require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > tol:
-        raise ToleranceError(f"operator is not Hermitian (deviation {dev:.3e})")

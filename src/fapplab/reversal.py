@@ -26,8 +26,11 @@ TWO_PI = 2.0 * np.pi
 #: their small temporaries stay in L2 across all steps of a block
 _CHUNK = 16384
 #: most Monte-Carlo samples per row: the default t_values take ~3.5 us per sample
-#: over their three rows (2 cores), so 6 minutes at the cap, more for longer t
+#: over their three rows (2 cores), so 6 minutes at the cap
 MAX_SAMPLES = 10**8
+#: most sample-steps per row: a MAX_SAMPLES row at the default t = 15, stepped
+#: forward and back at ~48 ns per sample-step: 1e8 x 15 x 2 x 48 ns = 2.4 min
+MAX_SAMPLE_STEPS = 15 * MAX_SAMPLES
 
 
 def _wrap(x) -> None:
@@ -97,11 +100,6 @@ class PhasePoint:
         object.__setattr__(self, "p", float(self.p) % TWO_PI)
 
 
-def involution(point: PhasePoint) -> PhasePoint:
-    """Momentum flip pi(q, p) = (q, -p); pi squared is the identity."""
-    return PhasePoint(point.q, -point.p)
-
-
 @dataclass(frozen=True)
 class ReversibleMap:
     """Symmetrized standard map with kick strength K >= 0."""
@@ -135,12 +133,6 @@ class ReversibleMap:
             _advance(q_block, flat_p[block], _half_kick(q_block, half_kick), steps,
                      half_kick, wrap)
         return q, p
-
-
-def step(mapping: ReversibleMap, x: PhasePoint) -> PhasePoint:
-    """Single map step on one phase point."""
-    q, p = mapping.evolve_arrays(np.float64(x.q), np.float64(x.p), 1)
-    return PhasePoint(float(q), float(p))
 
 
 @dataclass(frozen=True)
@@ -201,6 +193,9 @@ class ReversalConfig:
             raise ValueError("step count must be non-negative")
         if not 100 <= self.samples <= MAX_SAMPLES:
             raise ValueError(f"need 100 to {MAX_SAMPLES} Monte-Carlo samples")
+        if self.samples * self.steps > MAX_SAMPLE_STEPS:
+            raise ValueError(f"{self.samples} samples x {self.steps} steps exceed the "
+                             f"supported {MAX_SAMPLE_STEPS} sample-steps per row")
         if not np.isfinite(self.perturbed_kick) or self.perturbed_kick < 0:
             raise ValueError("perturbed kick strength must be finite and non-negative")
 

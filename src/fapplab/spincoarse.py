@@ -144,11 +144,12 @@ def _power_term(exponent: np.ndarray, log_base) -> np.ndarray:
         return np.where(exponent == 0, 0.0, exponent * log_base)
 
 
-def _coherent_amplitudes(sys: SpinSystem, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Unnormalized <m|Omega> for each direction (theta, phi): one row per direction.
+def _coherent_magnitudes(sys: SpinSystem, thetas: np.ndarray) -> np.ndarray:
+    """Real |<m|theta, phi>| for each polar angle: one row per angle.
 
-    Amplitude on |m>: binom(2j, j+m)^(1/2) cos^(j+m)(theta/2) sin^(j-m)(theta/2)
-    e^(-i m phi); binomials are evaluated in log space.
+    Magnitude on |m>: binom(2j, j+m)^(1/2) cos^(j+m)(theta/2) sin^(j-m)(theta/2),
+    evaluated in log space. The log is never NaN or +inf, and a zero base
+    gives -inf, whose exp is +0.
     """
     j = sys.j
     m = sys.m_values
@@ -160,8 +161,13 @@ def _coherent_amplitudes(sys: SpinSystem, thetas: np.ndarray, phis: np.ndarray) 
     logmag = (logb[None, :]
               + _power_term(np.broadcast_to(j + m, (c.size, m.size)), logc[:, None])
               + _power_term(np.broadcast_to(j - m, (c.size, m.size)), logs[:, None]))
-    mag = np.where(np.isfinite(logmag), np.exp(logmag), 0.0)
-    return mag * np.exp(-1j * np.outer(phis, m))
+    return np.exp(logmag)
+
+
+def _coherent_amplitudes(sys: SpinSystem, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Unnormalized <m|Omega> for each direction (theta, phi): one row per direction,
+    the magnitudes times e^(-i m phi)."""
+    return _coherent_magnitudes(sys, thetas) * np.exp(-1j * np.outer(phis, sys.m_values))
 
 
 def coherent_state(sys: SpinSystem, omega: SolidAngle) -> StateVector:
@@ -286,7 +292,7 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray):
     # the order check guarantees n_phi >= 2j+1; below that ifft would silently
     # truncate the m-sum instead of raising
     _check_order(sys, grid)
-    table = _coherent_amplitudes(sys, grid.thetas[::grid.n_phi], 0).real
+    table = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
     step = max(1, min(len(states), OVERLAP_CHUNK_BYTES // (16 * grid.size)))
     padded = np.zeros((step, grid.n_theta, grid.n_phi), dtype=complex)
     overlaps = np.empty((step, grid.size))

@@ -28,7 +28,7 @@ from fapplab.bell import (ChshSettings, build_bell_state, chsh_value,
                           correlation, lhv_bound)
 from fapplab.cli import main as cli_main
 from fapplab.echo import (GaussianPerturbation, SpectralHamiltonian, averaged_q_formula,
-                          combined_evolution, draw_perturbation, echo_experiment)
+                          echo_experiment)
 from fapplab.friend import (LabSpace, branch_states, interference_measurement,
                             message_purity, observer_coupling, prepare_initial,
                             stern_gerlach, write_message)
@@ -37,6 +37,8 @@ from fapplab.reversal import (TWO_PI, CellRegion, PhasePoint, ReversalConfig,
                               ReversibleMap, reversal_probabilities)
 from fapplab.spincoarse import (SolidAngle, SphereGrid, SpinSystem, bhattacharyya,
                                 coherent_kernel, coherent_state, q_function_pure)
+
+from oracles import combined_evolution, draw_perturbation
 
 SQRT2 = np.sqrt(2.0)
 CLASSICAL_SEED = 20250809

@@ -6,10 +6,10 @@ from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, ProductSpace, StateVector, partial_trace
 from fapplab.bell import (_SHOT_CHUNK, LAB_DIM, ChshSettings, LaboratoryBasis, MacroObservable,
                           branch_projection_observable, build_bell_state, chsh_summary,
-                          chsh_value,
-                          chsh_value_sampled, correlation, correlation_sampled,
-                          facts_contradiction_report, interference_observable,
-                          lhv_bound, rotated_observable)
+                          chsh_value, correlation, correlation_sampled,
+                          interference_observable, lhv_bound, rotated_observable)
+
+from oracles import chsh_value_sampled
 
 SQRT2 = np.sqrt(2.0)
 
@@ -319,9 +319,13 @@ class TestDistinctBinEdges:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def exact_summary(state, settings):
+    return chsh_summary({name: correlation(state, a, b) for name, a, b in settings.pairs()})
+
+
 class TestFactsReport:
-    def test_default_run_excludes_coexistence(self, state):
-        report = facts_contradiction_report(state)
+    def test_default_run_excludes_coexistence(self, state, settings):
+        report = exact_summary(state, settings)
         assert report["coexistence_excluded"] is True
         assert report["chsh_value"] == pytest.approx(2 * SQRT2, abs=1e-9)
         assert report["lhv_bound"] == 2.0
@@ -330,7 +334,7 @@ class TestFactsReport:
     def test_product_state_not_excluded(self, basis, settings):
         product = StateVector(np.kron(basis.up_state.amplitudes,
                                       basis.down_state.amplitudes))
-        report = facts_contradiction_report(product, settings)
+        report = exact_summary(product, settings)
         assert report["coexistence_excluded"] is False
 
     def test_summary_of_sampled_correlations(self, state, settings):
@@ -347,5 +351,5 @@ class TestFactsReport:
     def test_commuting_settings_not_excluded(self, state, basis, settings):
         z = branch_projection_observable(basis)
         degenerate = ChshSettings(a1=z, a2=z, b1=settings.b1, b2=settings.b1)
-        report = facts_contradiction_report(state, degenerate)
+        report = exact_summary(state, degenerate)
         assert report["coexistence_excluded"] is False

@@ -11,6 +11,8 @@ from fapplab import (bell as bell_mod, echo as echo_mod, friend as friend_mod, q
 from fapplab.cli import EXPERIMENTS, PARAM_TABLE, main, parse_config_file, resolve_config
 from fapplab.errors import ConfigError
 
+from oracles import chsh_value_sampled
+
 
 def run_cli(*args):
     return main(list(args))
@@ -107,6 +109,7 @@ class TestExitCodes:
         ("echo", "ensemble", "1000000000"),
         ("bell", "shots", "100000000000"),
         ("classical-reverse", "samples", "10000000000"),
+        ("classical-reverse", "t_values", "1000000000"),
     ])
     def test_invalid_value_is_2(self, tmp_path, capsys, monkeypatch, experiment, key, value):
         def must_not_run(*args, **kwargs):
@@ -202,7 +205,7 @@ class TestOutputs:
         state, chsh_settings = bell_mod.build_bell_state(), bell_mod.ChshSettings.default()
         if sampled:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-            expected = bell_mod.chsh_value_sampled(state, chsh_settings, shots, rng)
+            expected = chsh_value_sampled(state, chsh_settings, shots, rng)
         else:
             expected = bell_mod.chsh_value(state, chsh_settings)
         assert f"chsh={expected:.6f} " in capsys.readouterr().out

@@ -10,8 +10,7 @@ from fapplab.friend import (FLIP, MESSAGE_BLANK, X_PLUS, Z_MINUS, Z_PLUS, LabSpa
                             interference_states, message_mutual_information,
                             message_purity, message_reduced_state, observer_coupling,
                             observer_unitary,
-                            prepare_initial, qutrit_observer_measurement,
-                            run_pipeline, stern_gerlach, stern_gerlach_unitary,
+                            prepare_initial, run_pipeline, stern_gerlach, stern_gerlach_unitary,
                             write_message)
 
 
@@ -48,8 +47,9 @@ class TestPreparation:
         assert prepare_initial(space).stage == "initial"
 
     def test_bits_equal_tensor_product(self, space):
+        ready = StateVector.basis(space.observer_dim, space.ready_index)
         want = tensor_all([StateVector(X_PLUS), StateVector(Z_MINUS), StateVector(Z_MINUS),
-                           StateVector(space.observer_ready()), StateVector(MESSAGE_BLANK)])
+                           ready, StateVector(MESSAGE_BLANK)])
         got = prepare_initial(space).psi.amplitudes
         assert np.array_equal(got.view(np.int64), want.amplitudes.view(np.int64))
 
@@ -73,7 +73,7 @@ class TestSternGerlach:
     def test_definite_input_stays_product(self, space2):
         # atom prepared in |z+>: organ 2 flips, nothing entangles
         psi = tensor_all([StateVector([1, 0]), StateVector([0, 1]), StateVector([0, 1]),
-                          StateVector(space2.observer_ready()),
+                          StateVector.basis(2, space2.ready_index),
                           StateVector(MESSAGE_BLANK)])
         state = LabState(space=space2, psi=psi, stage="initial")
         out = stern_gerlach(state)
@@ -179,7 +179,7 @@ class TestInterferenceMeasurement:
         # a state orthogonal to both outputs: atom up, both organs still down
         outside = tensor_all([StateVector([1, 0]), StateVector([0, 1]),
                               StateVector([0, 1]),
-                              StateVector(space2.knows_up())])
+                              StateVector.basis(2, 0)])
         p_plus, p_minus, p_rest = interference_measurement(outside, space2)
         assert p_plus == p_minus == 0.0
         assert p_rest == pytest.approx(1.0, abs=1e-12)
@@ -188,8 +188,8 @@ class TestInterferenceMeasurement:
 class TestBranchStates:
     def test_equal_to_tensor_product_oracle(self, space):
         z_plus, z_minus = StateVector([1, 0]), StateVector([0, 1])
-        up = tensor_all([z_plus, z_plus, z_minus, StateVector(space.knows_up())])
-        down = tensor_all([z_minus, z_minus, z_plus, StateVector(space.knows_down())])
+        up = tensor_all([z_plus, z_plus, z_minus, StateVector.basis(space.observer_dim, 0)])
+        down = tensor_all([z_minus, z_minus, z_plus, StateVector.basis(space.observer_dim, 1)])
         got_up, got_down = branch_states(space)
         assert np.array_equal(got_up.amplitudes, up.amplitudes)
         assert np.array_equal(got_down.amplitudes, down.amplitudes)
@@ -213,33 +213,6 @@ class TestComplementarity:
         assert p_plus == pytest.approx(1.0, abs=1e-12)
         assert b_up == pytest.approx(0.5, abs=1e-12)
         assert b_down == pytest.approx(0.5, abs=1e-12)
-
-
-class TestQutritObserver:
-    def test_definite_outcome_mixture(self):
-        rho = OperatorMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex), kind="hermitian")
-        p_def, p_indef = qutrit_observer_measurement(rho)
-        assert p_def == pytest.approx(1.0, abs=1e-14)
-        assert p_indef == pytest.approx(0.0, abs=1e-14)
-
-    def test_no_outcome_state(self):
-        p_def, p_indef = qutrit_observer_measurement(StateVector([0, 0, 1]))
-        assert (p_def, p_indef) == (0.0, 1.0)
-
-    def test_born_rule_superposition(self):
-        state = StateVector(np.array([1, 0, 1]) / np.sqrt(2))
-        p_def, p_indef = qutrit_observer_measurement(state)
-        assert p_def == pytest.approx(0.5, abs=1e-14)
-        assert p_indef == pytest.approx(0.5, abs=1e-14)
-
-    def test_projectors_complete(self):
-        p1 = np.diag([1.0, 1.0, 0.0])
-        p2 = np.diag([0.0, 0.0, 1.0])
-        assert np.array_equal(p1 + p2, np.eye(3))
-
-    def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            qutrit_observer_measurement(StateVector([1, 0]))
 
 
 class TestPipelineReport:

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import expm
 
 from fapplab.errors import ToleranceError
-from fapplab.qcore import (OperatorMatrix, ProductSpace, StateVector, evolve,
-                           expectation, partial_trace, tensor, tensor_all)
+from fapplab.qcore import (OperatorMatrix, ProductSpace, StateVector, partial_trace, tensor,
+                           tensor_all)
 
-from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_state
+from conftest import SIGMA_X, SIGMA_Z, random_state
 
 
 def sv(*amps):
@@ -15,9 +14,6 @@ def sv(*amps):
 
 
 X_PLUS = sv(1, 1)
-X_MINUS = sv(1, -1)
-Y_PLUS = sv(1, 1j)
-Y_MINUS = sv(1, -1j)
 
 
 class TestStateVector:
@@ -70,8 +66,8 @@ class TestProductSpace:
     def test_index_bijection(self):
         space = ProductSpace((2, 3, 4))
         assert space.total_dim == 24
-        for flat in range(space.total_dim):
-            assert space.flat_index(space.multi_index(flat)) == flat
+        for multi in np.ndindex(space.factor_dims):
+            assert space.flat_index(multi) == np.ravel_multi_index(multi, space.factor_dims)
 
     def test_leftmost_most_significant(self):
         space = ProductSpace((2, 3))
@@ -85,7 +81,7 @@ class TestTensor:
         assert_allclose(out.amplitudes, [0, 1, 0, 0])
 
     def test_identity_product(self):
-        i2 = OperatorMatrix.identity(2)
+        i2 = OperatorMatrix(np.eye(2), kind="projector")
         out = tensor(i2, i2)
         assert_allclose(out.entries, np.eye(4))
 
@@ -157,87 +153,6 @@ class TestPartialTrace:
         rho = sv(1, 0).density()
         with pytest.raises(ValueError):
             partial_trace(rho, space, keep=[0])
-
-
-class TestExpectation:
-    def test_pauli_values(self):
-        sz = OperatorMatrix(SIGMA_Z, kind="hermitian")
-        sx = OperatorMatrix(SIGMA_X, kind="hermitian")
-        assert_allclose(expectation(sz, sv(1, 0)), 1.0, atol=1e-14)
-        assert_allclose(expectation(sz, X_PLUS), 0.0, atol=1e-14)
-        assert_allclose(expectation(sx, X_PLUS), 1.0, atol=1e-14)
-
-    def test_non_hermitian_rejected(self):
-        bad = OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex))
-        with pytest.raises(ToleranceError):
-            expectation(bad, sv(1, 0))
-
-
-class TestEvolve:
-    def test_zero_time(self, rng):
-        psi = StateVector(random_state(rng, 4))
-        h = OperatorMatrix(random_hermitian(rng, 4), kind="hermitian")
-        assert evolve(psi, h, 0.0).fidelity(psi) == pytest.approx(1.0, abs=1e-14)
-
-    def test_eigenstate_phase(self):
-        sz = OperatorMatrix(SIGMA_Z, kind="hermitian")
-        out = evolve(sv(1, 0), sz, np.pi)
-        assert out.fidelity(sv(1, 0)) == pytest.approx(1.0, abs=1e-14)
-        # the phase itself is e^{-i pi} = -1
-        assert_allclose(out.amplitudes[0], -1.0, atol=1e-14)
-
-    def test_half_turn_about_z(self):
-        # exp(-i sigma_z t) rotates the Bloch vector by 2t about z, so
-        # t = pi/2 carries |x+> to |x-> and leaves equal weight on |y+->.
-        sz = OperatorMatrix(SIGMA_Z, kind="hermitian")
-        out = evolve(X_PLUS, sz, np.pi / 2)
-        oracle = StateVector(expm(-1j * SIGMA_Z * np.pi / 2) @ X_PLUS.amplitudes)
-        assert out.fidelity(oracle) == pytest.approx(1.0, abs=1e-12)
-        assert out.fidelity(X_MINUS) == pytest.approx(1.0, abs=1e-12)
-        assert out.fidelity(Y_MINUS) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        assert out.fidelity(Y_PLUS) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-    def test_quarter_turn_reaches_y(self):
-        sz = OperatorMatrix(SIGMA_Z, kind="hermitian")
-        assert evolve(X_PLUS, sz, np.pi / 4).fidelity(Y_PLUS) == pytest.approx(1.0, abs=1e-12)
-        assert evolve(X_PLUS, sz, -np.pi / 4).fidelity(Y_MINUS) == pytest.approx(1.0, abs=1e-12)
-
-    def test_against_expm_oracle(self, rng):
-        for _ in range(20):
-            dim = int(rng.integers(2, 9))
-            h = random_hermitian(rng, dim)
-            psi = random_state(rng, dim)
-            t = float(rng.uniform(-5, 5))
-            ours = evolve(StateVector(psi), OperatorMatrix(h, kind="hermitian"), t)
-            oracle = expm(-1j * h * t) @ psi
-            assert_allclose(ours.amplitudes, oracle, atol=1e-10)
-
-    def test_norm_preservation(self, rng):
-        for _ in range(100):
-            dim = int(rng.integers(2, 65))
-            h = OperatorMatrix(random_hermitian(rng, dim), kind="hermitian")
-            psi = StateVector(random_state(rng, dim))
-            out = evolve(psi, h, float(rng.uniform(0, 10)))
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
-
-    def test_composition(self, rng):
-        h = OperatorMatrix(random_hermitian(rng, 6), kind="hermitian")
-        psi = StateVector(random_state(rng, 6))
-        t1, t2 = 0.7, 1.9
-        two_step = evolve(evolve(psi, h, t1), h, t2)
-        one_step = evolve(psi, h, t1 + t2)
-        assert_allclose(two_step.amplitudes, one_step.amplitudes, atol=1e-9)
-
-    def test_reversal(self, rng):
-        h = OperatorMatrix(random_hermitian(rng, 8), kind="hermitian")
-        psi = StateVector(random_state(rng, 8))
-        back = evolve(evolve(psi, h, 2.3), h, -2.3)
-        assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-9)
-
-    def test_non_hermitian_rejected(self):
-        bad = OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex))
-        with pytest.raises(ToleranceError):
-            evolve(sv(1, 0), bad, 1.0)
 
 
 def test_tensor_all_order():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fapplab import reversal
-from fapplab.reversal import (_CHUNK, TWO_PI, CellRegion, PhasePoint, ReversalConfig,
-                              ReversibleMap, _wrap, bound, involution, lyapunov,
-                              lyapunov_rows, reversal_probabilities, reversal_probability,
-                              step)
+from fapplab.reversal import (_CHUNK, MAX_SAMPLE_STEPS, MAX_SAMPLES, TWO_PI, CellRegion,
+                              PhasePoint, ReversalConfig, ReversibleMap, _wrap, bound,
+                              lyapunov, lyapunov_rows, reversal_probabilities,
+                              reversal_probability)
 
 
 def make_config(**overrides):
@@ -212,19 +212,12 @@ class TestPhasePoint:
         assert 0 <= pt.p < TWO_PI
         assert pt.q == pytest.approx(7.0 - TWO_PI)
 
-    def test_involution_is_its_own_inverse(self):
-        pt = PhasePoint(1.2, 3.4)
-        back = involution(involution(pt))
-        assert back.q == pytest.approx(pt.q, abs=1e-15)
-        assert back.p == pytest.approx(pt.p, abs=1e-15)
-
 
 class TestStep:
     def test_integrable_limit_is_rotation(self):
-        m = ReversibleMap(0.0)
-        out = step(m, PhasePoint(1.0, 0.5))
-        assert out.q == pytest.approx(1.5, abs=1e-15)
-        assert out.p == pytest.approx(0.5, abs=1e-15)
+        q, p = ReversibleMap(0.0).evolve_arrays(np.float64(1.0), np.float64(0.5), 1)
+        assert float(q) == pytest.approx(1.5, abs=1e-15)
+        assert float(p) == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("kick", [6.0, 0.3])
     @pytest.mark.parametrize("steps", [1, 50])
@@ -237,12 +230,6 @@ class TestStep:
             q, p = unfused_step(kick, q, p)
         assert np.array_equal(qf, q)
         assert np.array_equal(pf, p)
-
-    def test_step_is_one_evolve_step(self, rng):
-        m = ReversibleMap(6.0)
-        for q, p in rng.uniform(0, TWO_PI, (100, 2)):
-            q1, p1 = m.evolve_arrays(np.float64(q), np.float64(p), 1)
-            assert step(m, PhasePoint(q, p)) == PhasePoint(float(q1), float(p1))
 
     def test_backward_inverts_forward(self, rng):
         m = ReversibleMap(6.0)
@@ -346,6 +333,15 @@ class TestReversalProbability:
             make_config(steps=-1)
         with pytest.raises(ValueError):
             CellRegion(center=PhasePoint(0, 0), half_width=4.0)
+
+    def test_sample_steps_cap(self):
+        # construction runs no row, so the configs at the cap are only built
+        make_config(samples=MAX_SAMPLES, steps=15)
+        make_config(samples=100, steps=MAX_SAMPLE_STEPS // 100)
+        with pytest.raises(ValueError, match="sample-steps"):
+            make_config(samples=MAX_SAMPLES, steps=16)
+        with pytest.raises(ValueError, match="sample-steps"):
+            make_config(samples=100, steps=MAX_SAMPLE_STEPS // 100 + 1)
 
 
 class TestStreamedMonteCarlo:
