@@ -17,6 +17,6 @@ from .echo import (EchoCurve, GaussianPerturbation, SpectralHamiltonian,
 from .friend import (LabSpace, LabState, interference_measurement,
                      observer_coupling, prepare_initial, run_pipeline, stern_gerlach,
                      write_message)
-from .bell import (ChshSettings, LaboratoryBasis, MacroObservable,
+from .bell import (ChshSettings, MacroObservable,
                    build_bell_state, chsh_summary, chsh_value,
                    correlation, correlation_sampled, lhv_bound)

@@ -26,25 +26,9 @@ _SHOT_CHUNK = 65536
 MAX_SHOTS = 10**9
 
 
-@dataclass(frozen=True)
-class LaboratoryBasis:
-    """Orthonormal pair of recorded-branch states of one sealed laboratory."""
-
-    up_state: StateVector
-    down_state: StateVector
-
-    def __post_init__(self):
-        if self.up_state.dim != LAB_DIM or self.down_state.dim != LAB_DIM:
-            raise ValueError(f"laboratory states must have dimension {LAB_DIM}")
-        if abs(self.up_state.overlap(self.up_state) - 1) > 1e-12:
-            raise ToleranceError("up state is not normalized")
-        if abs(self.up_state.overlap(self.down_state)) > 1e-12:
-            raise ToleranceError("branch states are not orthogonal")
-
-    @classmethod
-    def default(cls) -> "LaboratoryBasis":
-        up, down = branch_states(LabSpace(observer_dim=2))
-        return cls(up_state=up, down_state=down)
+def default_branches() -> tuple[StateVector, StateVector]:
+    """(up, down) recorded branches of a two-level observer's sealed laboratory."""
+    return branch_states(LabSpace(observer_dim=2))
 
 
 @dataclass(frozen=True)
@@ -57,7 +41,6 @@ class MacroObservable:
     """
 
     matrix: OperatorMatrix
-    label: str
     _projectors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,35 +69,35 @@ class MacroObservable:
         return dict(self._projectors)
 
 
-def _branch_matrices(basis: LaboratoryBasis):
+def _branch_matrices(branches):
     """Z- and X-analogue matrices |up><up| - |down><down| and |up><down| + |down><up|."""
-    up, down = basis.up_state.amplitudes, basis.down_state.amplitudes
+    up, down = (state.amplitudes for state in branches)
     z = np.outer(up, up.conj()) - np.outer(down, down.conj())
     x = np.outer(up, down.conj()) + np.outer(down, up.conj())
     return z, x
 
 
-def _macro(m: np.ndarray, label: str) -> MacroObservable:
-    return MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"), label=label)
+def _macro(m: np.ndarray) -> MacroObservable:
+    return MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"))
 
 
 def _rotated(z: np.ndarray, x: np.ndarray, angle: float) -> MacroObservable:
-    return _macro(np.cos(angle) * z + np.sin(angle) * x, f"custom({angle})")
+    return _macro(np.cos(angle) * z + np.sin(angle) * x)
 
 
-def branch_projection_observable(basis: LaboratoryBasis) -> MacroObservable:
+def branch_projection_observable(branches) -> MacroObservable:
     """Z-analogue: +1 on the recorded-up branch, -1 on the recorded-down branch."""
-    return _macro(_branch_matrices(basis)[0], "Z")
+    return _macro(_branch_matrices(branches)[0])
 
 
-def interference_observable(basis: LaboratoryBasis) -> MacroObservable:
+def interference_observable(branches) -> MacroObservable:
     """X-analogue: branch-swap observable, +1/-1 on the superposition outputs."""
-    return _macro(_branch_matrices(basis)[1], "X")
+    return _macro(_branch_matrices(branches)[1])
 
 
-def rotated_observable(basis: LaboratoryBasis, angle: float) -> MacroObservable:
+def rotated_observable(branches, angle: float) -> MacroObservable:
     """cos(angle) * Z + sin(angle) * X within the branch span."""
-    return _rotated(*_branch_matrices(basis), angle)
+    return _rotated(*_branch_matrices(branches), angle)
 
 
 @dataclass(frozen=True)
@@ -127,29 +110,22 @@ class ChshSettings:
     b2: MacroObservable
 
     @classmethod
-    def default(cls, basis_a: LaboratoryBasis | None = None,
-                basis_b: LaboratoryBasis | None = None) -> "ChshSettings":
-        basis_a = basis_a or LaboratoryBasis.default()
-        basis_b = basis_b or LaboratoryBasis.default()
-        za, xa = _branch_matrices(basis_a)
-        zb, xb = (za, xa) if basis_b is basis_a else _branch_matrices(basis_b)
-        return cls(a1=_macro(za, "Z"), a2=_macro(xa, "X"),
-                   b1=_rotated(zb, xb, np.pi / 4), b2=_rotated(zb, xb, -np.pi / 4))
+    def default(cls, branches=None) -> "ChshSettings":
+        z, x = _branch_matrices(branches or default_branches())
+        return cls(a1=_macro(z), a2=_macro(x),
+                   b1=_rotated(z, x, np.pi / 4), b2=_rotated(z, x, -np.pi / 4))
 
     def pairs(self):
         return (("a1b1", self.a1, self.b1), ("a1b2", self.a1, self.b2),
                 ("a2b1", self.a2, self.b1), ("a2b2", self.a2, self.b2))
 
 
-def build_bell_state(basis_a: LaboratoryBasis | None = None,
-                     basis_b: LaboratoryBasis | None = None) -> StateVector:
-    """Laboratory-level singlet: (|up_A down_B> - |down_A up_B>) / sqrt(2)."""
-    basis_a = basis_a or LaboratoryBasis.default()
-    basis_b = basis_b or LaboratoryBasis.default()
+def build_bell_state(branches=None) -> StateVector:
+    """Laboratory-level singlet: (|up_A down_B> - |down_A up_B>) / sqrt(2), with
+    one (up, down) pair of branches in both laboratories."""
+    up, down = (state.amplitudes for state in branches or default_branches())
     outer = np.multiply.outer  # np.kron of two vectors, without its overhead
-    amps = (outer(basis_a.up_state.amplitudes, basis_b.down_state.amplitudes).ravel()
-            - outer(basis_a.down_state.amplitudes, basis_b.up_state.amplitudes).ravel())
-    return StateVector(amps / np.sqrt(2.0))
+    return StateVector((outer(up, down).ravel() - outer(down, up).ravel()) / np.sqrt(2.0))
 
 
 def _local_expectation(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:

@@ -175,8 +175,8 @@ def run(experiment: str, cfg: dict, seed: int, threads: int, out_path: str) -> s
 
 def _run_qfunction(cfg: dict, buf) -> str:
     sys_ = sc.SpinSystem(cfg["j"])
-    n = cfg["grid_nodes"] or sys_.dim + 1
-    grid = sc.SphereGrid(n, n)
+    n = cfg["grid_nodes"]
+    grid = sc.SphereGrid(n, n) if n else sc.SphereGrid.for_spin(sys_)
     omega = sc.SolidAngle(cfg["theta0"], cfg["phi0"])
     state = sc.coherent_state(sys_, omega)
     qf = sc.q_function_pure(state, sys_, grid)
@@ -235,9 +235,9 @@ def _run_friend(cfg: dict, buf) -> str:
 
 
 def _run_bell(cfg: dict, seed: int, buf) -> str:
-    basis = bell_mod.LaboratoryBasis.default()
-    settings = bell_mod.ChshSettings.default(basis, basis)
-    state = bell_mod.build_bell_state(basis, basis)
+    branches = bell_mod.default_branches()
+    settings = bell_mod.ChshSettings.default(branches)
+    state = bell_mod.build_bell_state(branches)
     buf.write("setting_pair,correlation\n")
     if cfg["sampled"]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))

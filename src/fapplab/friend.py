@@ -263,10 +263,8 @@ def _entropy(rho: OperatorMatrix) -> float:
     return float(-np.sum(evals * np.log(evals)))
 
 
-def run_pipeline(space: LabSpace | None = None) -> dict:
+def run_pipeline(space: LabSpace) -> dict:
     """Full experiment with a report of the quantities the outside agent checks."""
-    if space is None:
-        space = LabSpace(observer_dim=2)
     state_tp = observer_coupling(stern_gerlach(prepare_initial(space)))
     up, down = branch_states(space)  # one set of states serves every readout
     plus, minus = _superpositions(up, down)

@@ -19,6 +19,7 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 NORM_TOL = 1e-12
+DENSITY_TOL = 1e-10  # hermiticity, trace and smallest eigenvalue of `is_density`
 
 _KINDS = ("generic", "hermitian", "unitary", "projector")
 
@@ -113,8 +114,8 @@ class OperatorMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
 
-    def is_density(self, tol: float = 1e-10) -> bool:
-        m = self.entries
+    def is_density(self) -> bool:
+        m, tol = self.entries, DENSITY_TOL
         if np.max(np.abs(m - m.conj().T)) > tol:
             return False
         if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:

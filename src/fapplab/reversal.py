@@ -31,6 +31,14 @@ MAX_SAMPLES = 10**8
 #: most sample-steps per row: a MAX_SAMPLES row at the default t = 15, stepped
 #: forward and back at ~48 ns per sample-step: 1e8 x 15 x 2 x 48 ns = 2.4 min
 MAX_SAMPLE_STEPS = 15 * MAX_SAMPLES
+#: most sample-steps per run, a row at t = 0 counting as t = 1 (its draws and tests
+#: cost ~90 ns per sample): the default t_values at MAX_SAMPLES, 3e9 x 2 x 48 ns = 4.8 min
+MAX_RUN_SAMPLE_STEPS = 2 * MAX_SAMPLE_STEPS
+#: most rows per run: the stacked Lyapunov pass costs ~140 ns per point-step
+#: (2 cores), so 1000 rows x 32 points x 4100 steps take ~18 s
+MAX_ROWS = 1000
+#: Lyapunov estimate: map steps before the tangent loop, and points averaged over
+TRANSIENT, N_INIT = 100, 32
 
 
 def _wrap(x) -> None:
@@ -257,9 +265,13 @@ def _lyapunov_seed(seed: int) -> np.random.SeedSequence:
 def reversal_probabilities(configs) -> list:
     """`reversal_probability` of every config, in order, with all exponents
     estimated by one `lyapunov_rows` pass per map: rows with the same map and
-    seed share one estimate, and the rest are stacked.
+    seed share one estimate, and the rest are stacked. Checks the run caps first.
     """
     configs = list(configs)
+    if len(configs) > MAX_ROWS:
+        raise ValueError(f"{len(configs)} rows exceed the supported {MAX_ROWS} per run")
+    if sum(cfg.samples * max(cfg.steps, 1) for cfg in configs) > MAX_RUN_SAMPLE_STEPS:
+        raise ValueError(f"the rows exceed {MAX_RUN_SAMPLE_STEPS} sample-steps, the most per run")
     estimates = {}
     for mapping in dict.fromkeys(cfg.map for cfg in configs):
         seeds = list(dict.fromkeys(cfg.seed for cfg in configs if cfg.map == mapping))
@@ -268,33 +280,29 @@ def reversal_probabilities(configs) -> list:
     return [reversal_probability(cfg, estimates[cfg.map, cfg.seed]) for cfg in configs]
 
 
-def lyapunov(mapping: ReversibleMap, steps: int = 4000, transient: int = 100,
-             seed=0, n_init: int = 32) -> float:
+def lyapunov(mapping: ReversibleMap, steps: int = 4000, seed=0) -> float:
     """Largest Lyapunov exponent by tangent-map iteration with renormalization,
     averaged over random initial points. Non-chaotic regimes give ~0.
     `seed` is anything `np.random.default_rng` accepts.
     """
-    return lyapunov_rows(mapping, [seed], steps, transient, n_init)[0]
+    return lyapunov_rows(mapping, [seed], steps)[0]
 
 
-def lyapunov_rows(mapping: ReversibleMap, seeds, steps: int = 4000, transient: int = 100,
-                  n_init: int = 32) -> list:
-    """`lyapunov(mapping, steps, transient, seed, n_init)` for every seed, in
-    order, from one tangent-map loop over all rows' initial points.
+def lyapunov_rows(mapping: ReversibleMap, seeds, steps: int = 4000) -> list:
+    """`lyapunov(mapping, steps, seed)` for every seed, in order, from one
+    tangent-map loop over all rows' initial points.
 
-    Each seed's points are drawn from its own generator, and every operation
-    of the loop is elementwise, so stacking the rows moves no bit
+    Each seed draws its N_INIT points from its own generator, and every
+    operation of the loop is elementwise, so stacking the rows moves no bit
     (Benettin, Galgani, Giorgilli & Strelcyn, Meccanica 15, 9 (1980)).
     """
     if steps < 1000:
         raise ValueError("need at least 1e3 tangent-map steps")
-    if n_init < 32:
-        raise ValueError("need at least 32 initial points")
     half_kick = 0.5 * mapping.kick_strength
     # row-wise draws keep the RNG order
-    start = np.concatenate([np.random.default_rng(seed).uniform(0.0, TWO_PI, (n_init, 2))
+    start = np.concatenate([np.random.default_rng(seed).uniform(0.0, TWO_PI, (N_INIT, 2))
                             for seed in seeds])
-    q, p = mapping.evolve_arrays(start[:, 0], start[:, 1], transient)
+    q, p = mapping.evolve_arrays(start[:, 0], start[:, 1], TRANSIENT)
     kick = _half_kick(q, half_kick)
     c1, c2 = np.empty_like(q), half_kick * np.cos(q)
     tangent = np.zeros((2, q.size))  # the rows are v0 and v1
@@ -321,11 +329,11 @@ def lyapunov_rows(mapping: ReversibleMap, seeds, steps: int = 4000, transient: i
         np.log(norm, out=norm)
         acc += norm
     estimates = []
-    for row in acc.reshape(-1, n_init):
+    for row in acc.reshape(-1, N_INIT):
         total = 0.0
         for a in row:  # left to right: np.sum pairs terms and would move the last bits
             total += a / steps
-        estimates.append(total / n_init)
+        estimates.append(total / N_INIT)
     return estimates
 
 

@@ -99,21 +99,24 @@ class SphereGrid:
         w_phi = 2 * pi / n_phi
         th, ph = np.meshgrid(theta, phi, indexing="ij")
         wt = np.outer(w_theta, np.full(n_phi, w_phi))
-        self.thetas = _ro(th.ravel())
-        self.phis = _ro(ph.ravel())
-        self.weights = _ro(wt.ravel())
-        self.n_theta = n_theta
-        self.n_phi = n_phi
-        self.exactness_order = min(2 * n_theta - 1, n_phi - 1)
+        object.__setattr__(self, "thetas", _ro(th.ravel()))
+        object.__setattr__(self, "phis", _ro(ph.ravel()))
+        object.__setattr__(self, "weights", _ro(wt.ravel()))
+        object.__setattr__(self, "n_theta", n_theta)
+        object.__setattr__(self, "n_phi", n_phi)
+        object.__setattr__(self, "exactness_order", min(2 * n_theta - 1, n_phi - 1))
         total = self.weights.sum()
         if abs(total - 4 * pi) > 1e-10:
             raise ToleranceError(f"grid weights sum to {total!r}, not 4pi")
 
+    def __setattr__(self, name, value):
+        # exactness_order and the node arrays must keep agreeing with n_phi
+        raise AttributeError("SphereGrid is immutable")
+
     @classmethod
-    def for_spin(cls, sys: SpinSystem, margin: int = 1) -> "SphereGrid":
-        """Grid whose exactness order covers every degree-2j kernel of the spin."""
-        n = sys.dim + margin  # 2j + 1 + margin nodes per axis
-        return cls(n, n)
+    def for_spin(cls, sys: SpinSystem) -> "SphereGrid":
+        """2j + 2 nodes per axis: the exactness order covers every degree-2j kernel."""
+        return cls(sys.dim + 1, sys.dim + 1)
 
     @property
     def size(self) -> int:
@@ -138,30 +141,23 @@ def _log_binomials(j: float) -> np.ndarray:
                      for k in range(dim)])
 
 
-def _power_term(exponent: np.ndarray, log_base) -> np.ndarray:
-    """exponent * log_base with the convention 0 * log(0) = 0 (x^0 = 1)."""
-    with np.errstate(invalid="ignore"):
-        return np.where(exponent == 0, 0.0, exponent * log_base)
-
-
 def _coherent_magnitudes(sys: SpinSystem, thetas: np.ndarray) -> np.ndarray:
-    """Real |<m|theta, phi>| for each polar angle: one row per angle.
+    """Real |<m|theta, phi>| for each polar angle in [0, pi]: one row per angle.
 
     Magnitude on |m>: binom(2j, j+m)^(1/2) cos^(j+m)(theta/2) sin^(j-m)(theta/2),
-    evaluated in log space. The log is never NaN or +inf, and a zero base
-    gives -inf, whose exp is +0.
+    evaluated in log space in two table-sized buffers. A zero base has log -inf,
+    whose exp is +0; a zero power (the first column of the cosine term, the
+    last of the sine term) contributes 0 even then, as x^0 = 1.
     """
-    j = sys.j
-    m = sys.m_values
-    c = np.cos(thetas / 2)
-    s = np.sin(thetas / 2)
-    logb = _log_binomials(j)
-    logc = np.where(c > 0, np.log(np.maximum(c, 1e-300)), -np.inf)
-    logs = np.where(s > 0, np.log(np.maximum(s, 1e-300)), -np.inf)
-    logmag = (logb[None, :]
-              + _power_term(np.broadcast_to(j + m, (c.size, m.size)), logc[:, None])
-              + _power_term(np.broadcast_to(j - m, (c.size, m.size)), logs[:, None]))
-    return np.exp(logmag)
+    j, m = sys.j, sys.m_values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.multiply.outer(np.log(np.cos(thetas / 2)), j + m)
+        table[:, 0] = 0.0
+        table += _log_binomials(j)
+        sine_term = np.multiply.outer(np.log(np.sin(thetas / 2)), j - m)
+    sine_term[:, -1] = 0.0
+    table += sine_term
+    return np.exp(table, out=table)
 
 
 def _coherent_amplitudes(sys: SpinSystem, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, ProductSpace, StateVector, partial_trace
-from fapplab.bell import (_SHOT_CHUNK, LAB_DIM, ChshSettings, LaboratoryBasis, MacroObservable,
+from fapplab.bell import (_SHOT_CHUNK, LAB_DIM, ChshSettings, MacroObservable,
                           branch_projection_observable, build_bell_state, chsh_summary,
-                          chsh_value, correlation, correlation_sampled,
+                          chsh_value, correlation, correlation_sampled, default_branches,
                           interference_observable, lhv_bound, rotated_observable)
 
 from oracles import chsh_value_sampled
@@ -16,7 +16,7 @@ SQRT2 = np.sqrt(2.0)
 
 @pytest.fixture(scope="module")
 def basis():
-    return LaboratoryBasis.default()
+    return default_branches()
 
 
 @pytest.fixture(scope="module")
@@ -40,21 +40,21 @@ class TestBellState:
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_bits_equal_kron_construction(self, basis):
-        up, down = basis.up_state.amplitudes, basis.down_state.amplitudes
+        up, down = (s.amplitudes for s in basis)
         want = (np.kron(up, down) - np.kron(down, up)) / np.sqrt(2.0)
-        got = build_bell_state(basis, basis).amplitudes
+        got = build_bell_state(basis).amplitudes
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_reduced_laboratory_is_even_branch_mixture(self, state, basis):
         space = ProductSpace((LAB_DIM, LAB_DIM))
         rho_a = partial_trace(state.density(), space, keep=[0])
-        up, down = basis.up_state.amplitudes, basis.down_state.amplitudes
+        up, down = (s.amplitudes for s in basis)
         expected = 0.5 * (np.outer(up, up.conj()) + np.outer(down, down.conj()))
         assert_allclose(rho_a.entries, expected, atol=1e-12)
 
     def test_rotational_invariance_within_branch_span(self, state, basis):
         # the singlet is invariant under equal rotations of both branch qubits
-        up, down = basis.up_state.amplitudes, basis.down_state.amplitudes
+        up, down = (s.amplitudes for s in basis)
         for gamma in (0.3, 1.2, 2.9):
             c, s = np.cos(gamma / 2), np.sin(gamma / 2)
             span = np.outer(up, up.conj()) + np.outer(down, down.conj())
@@ -77,15 +77,15 @@ class TestMacroObservable:
 
     def test_annihilates_complement(self, basis):
         obs = rotated_observable(basis, 1.1)
-        span = np.outer(basis.up_state.amplitudes, basis.up_state.amplitudes.conj()) \
-            + np.outer(basis.down_state.amplitudes, basis.down_state.amplitudes.conj())
+        span = np.outer(basis[0].amplitudes, basis[0].amplitudes.conj()) \
+            + np.outer(basis[1].amplitudes, basis[1].amplitudes.conj())
         complement = np.eye(LAB_DIM) - span
         assert np.max(np.abs(obs.matrix.entries @ complement)) < 1e-12
 
     def test_invalid_spectrum_rejected(self, basis):
-        m = 0.5 * np.outer(basis.up_state.amplitudes, basis.up_state.amplitudes.conj())
+        m = 0.5 * np.outer(basis[0].amplitudes, basis[0].amplitudes.conj())
         with pytest.raises(ToleranceError):
-            MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"), label="bad")
+            MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"))
 
     def test_outcome_projectors_are_stored_read_only(self, basis):
         obs = rotated_observable(basis, 0.7)
@@ -104,8 +104,8 @@ class TestMacroObservable:
     def test_anticommutator_vanishes_on_span(self, basis):
         z = branch_projection_observable(basis).matrix.entries
         x = interference_observable(basis).matrix.entries
-        span = np.outer(basis.up_state.amplitudes, basis.up_state.amplitudes.conj()) \
-            + np.outer(basis.down_state.amplitudes, basis.down_state.amplitudes.conj())
+        span = np.outer(basis[0].amplitudes, basis[0].amplitudes.conj()) \
+            + np.outer(basis[1].amplitudes, basis[1].amplitudes.conj())
         assert np.max(np.abs((z @ x + x @ z) @ span)) < 1e-12
 
 
@@ -138,8 +138,8 @@ class TestChsh:
         assert chsh_value(state, settings) == pytest.approx(2 * SQRT2, abs=1e-9)
 
     def test_product_state_respects_classical_ceiling(self, basis, settings):
-        product = StateVector(np.kron(basis.up_state.amplitudes,
-                                      basis.up_state.amplitudes))
+        product = StateVector(np.kron(basis[0].amplitudes,
+                                      basis[0].amplitudes))
         assert chsh_value(product, settings) <= 2.0 + 1e-9
 
     def test_degenerate_settings_cannot_violate(self, state, basis, settings):
@@ -292,7 +292,7 @@ class TestDistinctBinEdges:
 
     @pytest.fixture(scope="class")
     def cases(self, state, settings, basis):
-        up, down = basis.up_state.amplitudes, basis.down_state.amplitudes
+        up, down = (s.amplitudes for s in basis)
         z = branch_projection_observable(basis)
         half = StateVector(np.kron(up, (up + down) / SQRT2))  # Z(x)Z bins: 1/2, 1/2, 0...
         pure = StateVector(np.kron(up, up))  # one certain bin: every edge is 1
@@ -332,8 +332,8 @@ class TestFactsReport:
         assert report["margin"] == pytest.approx(2 * SQRT2 - 2, abs=1e-9)
 
     def test_product_state_not_excluded(self, basis, settings):
-        product = StateVector(np.kron(basis.up_state.amplitudes,
-                                      basis.down_state.amplitudes))
+        product = StateVector(np.kron(basis[0].amplitudes,
+                                      basis[1].amplitudes))
         report = exact_summary(product, settings)
         assert report["coexistence_excluded"] is False
 

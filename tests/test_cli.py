@@ -137,6 +137,24 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_values", [
+        ",".join(["1"] * (rev_mod.MAX_ROWS + 1)),
+        "15000,15000,15000",  # 1.5e9 sample-steps each at the default 1e5 samples
+    ])
+    def test_reverse_rejects_oversized_run_before_running_any(self, tmp_path, capsys,
+                                                              monkeypatch, t_values):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a reversal row ran before the run caps were checked")
+
+        for name in ("reversal_probability", "lyapunov_rows"):
+            monkeypatch.setattr(rev_mod, name, must_not_run)
+        cfg = write_config(tmp_path / "c.cfg", experiment="classical-reverse",
+                           t_values=t_values)
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", cfg, "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_echo_rejects_times_before_running_ensemble(self, tmp_path, capsys,
                                                         monkeypatch):
         def must_not_run(self, index):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fapplab import reversal
-from fapplab.reversal import (_CHUNK, MAX_SAMPLE_STEPS, MAX_SAMPLES, TWO_PI, CellRegion,
+from fapplab.reversal import (_CHUNK, MAX_ROWS, MAX_RUN_SAMPLE_STEPS, MAX_SAMPLE_STEPS,
+                              MAX_SAMPLES, TWO_PI, CellRegion,
                               PhasePoint, ReversalConfig, ReversibleMap, _wrap, bound,
                               lyapunov, lyapunov_rows, reversal_probabilities,
                               reversal_probability)
@@ -410,6 +411,45 @@ class TestBatchedRows:
         assert reversal_probabilities(configs) == want
         # one pass per map; the two rows of kick 6 at seed 1 share one estimate
         assert passes == [(6.0, 2), (0.3, 1)]
+
+
+class PassReached(Exception):
+    """Raised in place of the Lyapunov pass: the batch passed the run caps."""
+
+
+class TestRunCaps:
+    """A run's batch is checked before its Lyapunov pass; no row runs here."""
+
+    @pytest.fixture
+    def no_pass(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise PassReached
+
+        monkeypatch.setattr(reversal, "lyapunov_rows", reached)
+
+    def test_row_cap(self, no_pass):
+        rows = [make_config(steps=0, samples=100, seed=k) for k in range(MAX_ROWS + 1)]
+        with pytest.raises(PassReached):
+            reversal_probabilities(rows[:MAX_ROWS])
+        with pytest.raises(ValueError, match="rows"):
+            reversal_probabilities(rows)
+
+    @pytest.mark.parametrize("t_values, accepted", [
+        ((5, 10, 15), True),  # the default t_values at MAX_SAMPLES
+        ((5, 10, 15, 1), False),
+        ((15, 14, 0), True),  # a row at t = 0 counts as t = 1
+        ((15, 15, 0), False),
+    ])
+    def test_sample_steps_budget(self, no_pass, t_values, accepted):
+        rows = [make_config(steps=t, samples=MAX_SAMPLES) for t in t_values]
+        assert sum(MAX_SAMPLES * max(t, 1) for t in t_values) == (
+            MAX_RUN_SAMPLE_STEPS if accepted else MAX_RUN_SAMPLE_STEPS + MAX_SAMPLES)
+        if accepted:
+            with pytest.raises(PassReached):
+                reversal_probabilities(rows)
+        else:
+            with pytest.raises(ValueError, match="sample-steps"):
+                reversal_probabilities(rows)
 
 
 class TestLyapunov:

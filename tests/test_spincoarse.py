@@ -1,5 +1,6 @@
 import io
-from math import factorial, pi
+import tracemalloc
+from math import factorial, lgamma, pi
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from fapplab import spincoarse
 from fapplab.errors import GridOrderError
 from fapplab.qcore import OperatorMatrix, StateVector
 from fapplab.spincoarse import (CapRegion, QFunction, SolidAngle, SphereGrid,
-                                SpinSystem, _mixture_q, _node_overlaps, bhattacharyya,
+                                SpinSystem, _coherent_magnitudes, _mixture_q,
+                                _node_overlaps, bhattacharyya,
                                 coherent_kernel, coherent_state, povm_element, q_function,
                                 q_function_pure)
 
@@ -77,6 +79,64 @@ class TestSphereGrid:
         grid = SphereGrid.for_spin(sys)
         assert grid.n_theta == grid.n_phi == 22
         assert grid.exactness_order == 21 >= sys.dim
+
+    def test_immutable(self):
+        # a rebound n_phi would leave exactness_order stale, and the overlap
+        # kernel would then truncate its m-sum silently
+        grid = SphereGrid(4, 5)
+        for name in SphereGrid.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(grid, name, 2)
+        assert (grid.n_theta, grid.n_phi, grid.exactness_order) == (4, 5, 4)
+        with pytest.raises(ValueError):
+            grid.thetas[0] = 0.0
+
+
+def reference_magnitudes(sys, thetas):
+    """The spin table as it was built before it used two buffers: log bases
+    clamped at 1e-300, each power term through `np.where`, then one sum."""
+    def power_term(exponent, log_base):
+        with np.errstate(invalid="ignore"):
+            return np.where(exponent == 0, 0.0, exponent * log_base)
+
+    j, m = sys.j, sys.m_values
+    c, s = np.cos(thetas / 2), np.sin(thetas / 2)
+    n = sys.dim - 1
+    logb = np.array([0.5 * (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1))
+                     for k in range(sys.dim)])
+    logc = np.where(c > 0, np.log(np.maximum(c, 1e-300)), -np.inf)
+    logs = np.where(s > 0, np.log(np.maximum(s, 1e-300)), -np.inf)
+    return np.exp(logb[None, :]
+                  + power_term(np.broadcast_to(j + m, (c.size, m.size)), logc[:, None])
+                  + power_term(np.broadcast_to(j - m, (c.size, m.size)), logs[:, None]))
+
+
+class TestSpinTable:
+    @pytest.mark.parametrize("j", [0.5, 1, 2.5, 10, 50, 150])
+    def test_bits_equal_reference(self, j):
+        sys = SpinSystem(j)
+        grid = SphereGrid.for_spin(sys)
+        thetas = np.concatenate([grid.thetas[::grid.n_phi], [0.0, pi, 1e-200, 3e-300]])
+        got, want = _coherent_magnitudes(sys, thetas), reference_magnitudes(sys, thetas)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_tiny_angles_keep_their_own_sine(self):
+        # below theta ~ 2e-300 the reference clamped sin(theta/2) at 1e-300
+        got = _coherent_magnitudes(SpinSystem(0.5), np.array([1e-300, 1e-310]))
+        assert got[:, 0] == pytest.approx([5e-301, 5e-311], rel=1e-12)
+        assert got[:, 1].tolist() == [1.0, 1.0]
+
+    def test_two_table_buffers(self):
+        sys = SpinSystem(500)
+        grid = SphereGrid.for_spin(sys)
+        thetas = grid.thetas[::grid.n_phi]
+        tracemalloc.start()
+        try:
+            table = _coherent_magnitudes(sys, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.nbytes + 2**20  # the reference took three
 
 
 class TestCoherentState:

@@ -10,6 +10,7 @@ importing perfbench as a package.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -17,14 +18,15 @@ import pytest
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [(module, attr) for module, attr, _name, _counter in tracing.TARGETS]
+    return tracing
 
 
-TARGETS = _targets()
+_TABLE = _load_tracing().TARGETS
+TARGETS = [(module, attr) for module, attr, _name, _counter in _TABLE]
 
 
 @pytest.mark.parametrize("module_name, attr", TARGETS,
@@ -54,3 +56,22 @@ def test_worker_call_resolves(module_name, attr):
     for name in attr.split("."):
         target = getattr(target, name)
     assert callable(target)
+
+
+#: the arguments each tracer counter reads by name from the bound call; a
+#: renamed one would crash only the traced benchmark run
+COUNTER_ARGS = {("spincoarse", "coherent_kernel"): ("sys", "grid"),
+                ("echo", "echo_experiment"): ("times", "ensemble_size"),
+                ("reversal", "reversal_probability"): ("cfg",)}
+
+
+def test_every_counter_is_pinned():
+    assert {(module, attr) for module, attr, _name, counter in _TABLE
+            if counter is not None} == set(COUNTER_ARGS)
+
+
+@pytest.mark.parametrize("module_name, attr", sorted(COUNTER_ARGS),
+                         ids=[f"{module}.{attr}" for module, attr in sorted(COUNTER_ARGS)])
+def test_counter_arguments_keep_their_names(module_name, attr):
+    fn = getattr(importlib.import_module(f"fapplab.{module_name}"), attr)
+    assert set(COUNTER_ARGS[module_name, attr]) <= set(inspect.signature(fn).parameters)
