@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ToleranceError
 from .friend import LabSpace, branch_states
-from .qcore import OperatorMatrix, StateVector
+from .qcore import OperatorMatrix, StateVector, owned
 
 LAB_DIM = 16
 EIGENVALUE_TOL = 1e-10
@@ -60,8 +60,7 @@ class MacroObservable:
         projectors = {}
         for value in (1, -1, 0):
             cols = vecs[:, np.abs(evals - value) < EIGENVALUE_TOL]
-            projectors[value] = cols @ cols.conj().T
-            projectors[value].setflags(write=False)
+            projectors[value] = owned(cols @ cols.conj().T, complex)
         object.__setattr__(self, "_projectors", projectors)
 
     def outcome_projectors(self) -> dict:

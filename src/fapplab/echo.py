@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError
-from .qcore import OperatorMatrix, StateVector
+from .qcore import OperatorMatrix, StateVector, owned
 from .spincoarse import (MAX_ENSEMBLE, SphereGrid, SpinSystem, _mixture_q, _node_overlaps,
                          q_function_pure)
 
@@ -38,8 +38,7 @@ class SpectralHamiltonian:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vals.setflags(write=False)
+        vals = owned(self.eigenvalues, float)
         object.__setattr__(self, "eigenvalues", vals)
         if self.eigenbasis.dim != self.sys.dim or vals.size != self.sys.dim:
             raise ValueError("eigenbasis/eigenvalue dimensions do not match the spin system")
@@ -82,12 +81,11 @@ class GaussianPerturbation:
     h0: SpectralHamiltonian
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        means.setflags(write=False)
+        means = owned(self.means, float)
         object.__setattr__(self, "means", means)
         if means.size != self.h0.sys.dim:
             raise ValueError("one mean per level is required")
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # NaN fails too
             raise ValueError("sigma must be non-negative")
         if self.sigma >= SIGMA_BYPASS:
             limit = SIGMA_SPACING_FACTOR * self.h0.min_spacing
@@ -131,10 +129,8 @@ class EchoCurve:
     def __post_init__(self):
         arrays = {}
         for name in ("times", "mean_overlap", "std_error", "analytic_bound"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            arrays[name] = a
-            object.__setattr__(self, name, a)
+            arrays[name] = owned(getattr(self, name), float)
+            object.__setattr__(self, name, arrays[name])
         n = arrays["times"].size
         if any(a.size != n for a in arrays.values()):
             raise ValueError("curve arrays must have equal length")
@@ -159,7 +155,7 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     member equals the first, as at t = 0 or with sigma below SIGMA_BYPASS, one
     member is evaluated and its value copied to all.
     """
-    times = np.asarray(times, dtype=float)
+    times = owned(times, float)
     _check_times(times)
     if ensemble_size < 100:
         raise ValueError("need at least 100 ensemble members")

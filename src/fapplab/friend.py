@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StageError
-from .qcore import OperatorMatrix, ProductSpace, StateVector
+from .qcore import OperatorMatrix, StateVector
 
 STAGES = ("initial", "post-stern-gerlach", "post-observer", "post-message")
 
@@ -39,16 +39,16 @@ class LabSpace:
     """Five-system laboratory layout; observer dimension 2 or 3."""
 
     observer_dim: int = 2
-    layout: ProductSpace = field(init=False, repr=False, compare=False)
+    factor_dims: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.observer_dim not in (2, 3):
             raise ValueError("observer dimension must be 2 or 3")
-        object.__setattr__(self, "layout", ProductSpace((2, 2, 2, self.observer_dim, 3)))
+        object.__setattr__(self, "factor_dims", (2, 2, 2, self.observer_dim, 3))
 
     @property
     def total_dim(self) -> int:
-        return self.layout.total_dim
+        return math.prod(self.factor_dims)
 
     @property
     def ready_index(self) -> int:
@@ -80,7 +80,7 @@ def _apply_local(state: LabState, gate: OperatorMatrix, first_factor: int,
     """Apply a gate on the adjacent factors starting at `first_factor`: the
     amplitudes are reshaped to (left, gate.dim, right) and multiplied once.
     """
-    left = math.prod(state.space.layout.factor_dims[:first_factor])
+    left = math.prod(state.space.factor_dims[:first_factor])
     amps = state.psi.amplitudes.reshape(left, gate.dim, -1)
     return LabState(space=state.space,
                     psi=StateVector(np.matmul(gate.entries, amps)),
@@ -89,10 +89,8 @@ def _apply_local(state: LabState, gate: OperatorMatrix, first_factor: int,
 
 def prepare_initial(space: LabSpace) -> LabState:
     """Atom along +x, both organs down, observer ready, message blank."""
-    layout = space.layout
-    amps = np.zeros(layout.total_dim, dtype=complex)
-    for atom in (0, 1):
-        amps[layout.flat_index((atom, 1, 1, space.ready_index, 2))] = X_PLUS[atom]
+    amps = np.zeros(space.total_dim, dtype=complex)
+    amps[np.ravel_multi_index(((0, 1), 1, 1, space.ready_index, 2), space.factor_dims)] = X_PLUS
     return LabState(space=space, psi=StateVector(amps), stage="initial")
 
 
@@ -160,9 +158,9 @@ def write_message(state: LabState) -> LabState:
 
 def branch_states(space: LabSpace) -> tuple[StateVector, StateVector]:
     """The two recorded branches of systems 1-4: "all agree up" and "all agree down"."""
-    layout = ProductSpace((2, 2, 2, space.observer_dim))
-    return (StateVector.basis(layout.total_dim, layout.flat_index((0, 0, 1, 0))),
-            StateVector.basis(layout.total_dim, layout.flat_index((1, 1, 0, 1))))
+    dims = space.factor_dims[:4]
+    return (StateVector.basis(math.prod(dims), np.ravel_multi_index((0, 0, 1, 0), dims)),
+            StateVector.basis(math.prod(dims), np.ravel_multi_index((1, 1, 0, 1), dims)))
 
 
 def interference_states(space: LabSpace) -> tuple[StateVector, StateVector]:

@@ -9,8 +9,6 @@ elementwise, so global phases are irrelevant across the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ToleranceError
@@ -24,35 +22,50 @@ DENSITY_TOL = 1e-10  # hermiticity, trace and smallest eigenvalue of `is_density
 _KINDS = ("generic", "hermitian", "unitary", "projector")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex, copy=True)
+def owned(a, dtype) -> np.ndarray:
+    """A read-only copy of `a` as `dtype`, which no caller's array aliases.
+
+    Every value type stores its arrays through this, so a NaN or inf entry is
+    refused at construction: NaN passes every `> tol` comparison unnoticed.
+    """
+    a = np.array(a, dtype=dtype, copy=True)
+    if not np.isfinite(a).all():
+        raise ValueError("array entries must be finite")
     a.setflags(write=False)
     return a
 
 
-class StateVector:
+class Immutable:
+    """Base of the slotted value types: attributes are set once, in __init__,
+    through object.__setattr__, and can be neither rebound nor deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class StateVector(Immutable):
     """Normalized pure state on a dim-dimensional Hilbert space."""
 
     __slots__ = ("dim", "amplitudes")
 
     def __init__(self, amplitudes, *, normalize: bool = False):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = owned(amplitudes, complex).reshape(-1)
         if amps.size < 1:
             raise ValueError("state needs at least one amplitude")
-        if not np.isfinite(amps).all():
-            raise ValueError("state amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if normalize:
             if norm == 0:
                 raise ValueError("cannot normalize the zero vector")
-            amps = amps / norm
+            amps = owned(amps / norm, complex)
         elif abs(norm - 1.0) > NORM_TOL:
             raise ToleranceError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "dim", amps.size)
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
+        object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "StateVector":
@@ -66,10 +79,6 @@ class StateVector:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def fidelity(self, other: "StateVector") -> float:
-        """|<self|other>| (global-phase free comparison)."""
-        return abs(self.overlap(other))
-
     def density(self) -> "OperatorMatrix":
         """|psi><psi| as a projector operator."""
         amps = self.amplitudes
@@ -79,7 +88,7 @@ class StateVector:
         return f"StateVector(dim={self.dim})"
 
 
-class OperatorMatrix:
+class OperatorMatrix(Immutable):
     """Square complex matrix tagged as generic, hermitian, unitary, or projector.
 
     The tag is verified at construction, so downstream code can rely on it.
@@ -88,13 +97,11 @@ class OperatorMatrix:
     __slots__ = ("dim", "entries", "kind")
 
     def __init__(self, entries, kind: str = "generic"):
-        m = np.asarray(entries, dtype=complex)
+        m = owned(entries, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got shape {m.shape}")
         if kind not in _KINDS:
             raise ValueError(f"unknown operator kind {kind!r}")
-        if not np.isfinite(m).all():
-            raise ValueError("operator entries must be finite")
         if kind in ("hermitian", "projector"):
             dev = np.max(np.abs(m - m.conj().T))
             if dev > HERMITIAN_TOL:
@@ -108,11 +115,8 @@ class OperatorMatrix:
             if dev > PROJECTOR_TOL:
                 raise ToleranceError(f"idempotence violated by {dev:.3e} (> {PROJECTOR_TOL})")
         object.__setattr__(self, "dim", m.shape[0])
-        object.__setattr__(self, "entries", _readonly(m))
+        object.__setattr__(self, "entries", m)
         object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorMatrix is immutable")
 
     def is_density(self) -> bool:
         m, tol = self.entries, DENSITY_TOL
@@ -124,38 +128,6 @@ class OperatorMatrix:
 
     def __repr__(self):
         return f"OperatorMatrix(dim={self.dim}, kind={self.kind!r})"
-
-
-@dataclass(frozen=True)
-class ProductSpace:
-    """Ordered tensor-factor layout with row-major composite indexing."""
-
-    factor_dims: tuple
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"factor dims must be positive, got {dims}")
-        object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.factor_dims)
-
-    @property
-    def nfactors(self) -> int:
-        return len(self.factor_dims)
-
-    def flat_index(self, multi) -> int:
-        """Composite index of a per-factor index tuple (leftmost most significant)."""
-        if len(multi) != self.nfactors:
-            raise ValueError("index tuple length mismatch")
-        flat = 0
-        for k, d in zip(multi, self.factor_dims):
-            if not 0 <= k < d:
-                raise ValueError(f"factor index {k} out of range for dim {d}")
-            flat = flat * d + k
-        return flat
 
 
 def tensor(a, b):
@@ -180,21 +152,24 @@ def tensor_all(factors):
     return out
 
 
-def partial_trace(rho: OperatorMatrix, space: ProductSpace, keep) -> OperatorMatrix:
-    """Trace out every factor not listed in `keep` (indices into space.factor_dims).
+def partial_trace(rho: OperatorMatrix, dims, keep) -> OperatorMatrix:
+    """Trace out every factor not listed in `keep` (indices into the tuple of
+    factor dims `dims`, leftmost most significant).
 
     `rho` must be a density operator on the product space; the reduced matrix
     is again a density operator on the kept factors, in their original order.
     """
-    dims = space.factor_dims
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"factor dims must be positive, got {dims}")
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
     if not keep:
         raise ValueError("must keep at least one factor")
-    if rho.dim != space.total_dim:
-        raise ValueError(f"dimension mismatch: rho dim {rho.dim}, space dim {space.total_dim}")
+    if rho.dim != math.prod(dims):
+        raise ValueError(f"dimension mismatch: rho dim {rho.dim}, space dims {dims}")
     if not rho.is_density():
         raise ValueError("partial_trace requires a density operator input")
 
@@ -211,7 +186,7 @@ def partial_trace(rho: OperatorMatrix, space: ProductSpace, keep) -> OperatorMat
             col[k] = row[k]
     out_sub = "".join(row[k] for k in keep) + "".join(letters[n + k] for k in keep)
     reduced = np.einsum("".join(row) + "".join(col) + "->" + out_sub, t)
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    d_keep = math.prod(dims[k] for k in keep)
     reduced = reduced.reshape(d_keep, d_keep)
     reduced = 0.5 * (reduced + reduced.conj().T)
     tr = np.trace(reduced).real

@@ -22,8 +22,8 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: samples per block of the map kernel: two 128 KB coordinate slices and
-#: their small temporaries stay in L2 across all steps of a block
+#: samples per Monte-Carlo block: two 128 KB coordinate arrays and their
+#: small temporaries stay in L2 across all map steps of a block
 _CHUNK = 16384
 #: most Monte-Carlo samples per row: the default t_values take ~3.5 us per sample
 #: over their three rows (2 cores), so 6 minutes at the cap
@@ -122,8 +122,9 @@ class ReversibleMap:
         """`steps` map steps on coordinate arrays (the vectorized Monte-Carlo
         core); returns new arrays and leaves q and p untouched.
 
-        The copies are stepped in place, 16384 samples at a time. While every
-        wrapped value lies in [-2pi, 4pi], `_wrap` gives the bits of
+        The copies are stepped in place by one `_advance` call; streaming
+        callers such as `reversal_probability` pass one `_CHUNK` at a time.
+        While every wrapped value lies in [-2pi, 4pi], `_wrap` gives the bits of
         np.remainder: that holds for non-empty inputs in [0, 2pi] and K < 4pi,
         since then |kick| <= K/2 < 2pi and q + p <= 4pi. Any other input
         (NaN, out of range, strong kicks) takes np.remainder itself.
@@ -134,18 +135,14 @@ class ReversibleMap:
         if (q.size and self.kick_strength < 2 * TWO_PI
                 and all(a.min() >= 0 and a.max() <= TWO_PI for a in (q, p))):
             wrap = _wrap
-        flat_q, flat_p = q.reshape(-1), p.reshape(-1)
-        for start in range(0, q.size, _CHUNK):
-            block = slice(start, start + _CHUNK)
-            q_block = flat_q[block]
-            _advance(q_block, flat_p[block], _half_kick(q_block, half_kick), steps,
-                     half_kick, wrap)
+        flat_q, flat_p = q.reshape(-1), p.reshape(-1)  # views, so 0-d inputs step too
+        _advance(flat_q, flat_p, _half_kick(flat_q, half_kick), steps, half_kick, wrap)
         return q, p
 
 
 @dataclass(frozen=True)
 class CellRegion:
-    """Square phase-space cell of side full_width around a center point."""
+    """Square phase-space cell of side 2 * half_width around a center point."""
 
     center: PhasePoint
     half_width: float
@@ -153,16 +150,12 @@ class CellRegion:
     def __post_init__(self):
         if not self.half_width > 0:  # NaN fails too
             raise ValueError("cell half-width must be positive")
-        if (2 * self.half_width) ** 2 >= TWO_PI ** 2:
+        if self.area >= TWO_PI ** 2:
             raise ValueError("cell area must be smaller than the torus")
 
     @property
-    def full_width(self) -> float:
-        return 2 * self.half_width
-
-    @property
     def area(self) -> float:
-        return self.full_width ** 2
+        return (2 * self.half_width) ** 2
 
     def sample(self, q_rng: np.random.Generator, p_rng: np.random.Generator, n: int):
         """n points uniform in the cell: q drawn from q_rng, then p from p_rng.

@@ -14,7 +14,7 @@ from math import lgamma, pi
 import numpy as np
 
 from .errors import GridOrderError, ToleranceError
-from .qcore import OperatorMatrix, StateVector
+from .qcore import Immutable, OperatorMatrix, StateVector, owned
 
 MAX_J = 500  # binomials are evaluated in log space; beyond this we refuse
 MAX_GRID_AXIS = 2 * MAX_J + 2  # nodes per axis of the default grid of the largest spin
@@ -74,7 +74,7 @@ class SolidAngle:
         return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-class SphereGrid:
+class SphereGrid(Immutable):
     """Product quadrature on the sphere: Gauss-Legendre in cos(theta) times a
     uniform azimuthal rule.
 
@@ -99,19 +99,15 @@ class SphereGrid:
         w_phi = 2 * pi / n_phi
         th, ph = np.meshgrid(theta, phi, indexing="ij")
         wt = np.outer(w_theta, np.full(n_phi, w_phi))
-        object.__setattr__(self, "thetas", _ro(th.ravel()))
-        object.__setattr__(self, "phis", _ro(ph.ravel()))
-        object.__setattr__(self, "weights", _ro(wt.ravel()))
+        object.__setattr__(self, "thetas", owned(th.ravel(), float))
+        object.__setattr__(self, "phis", owned(ph.ravel(), float))
+        object.__setattr__(self, "weights", owned(wt.ravel(), float))
         object.__setattr__(self, "n_theta", n_theta)
         object.__setattr__(self, "n_phi", n_phi)
         object.__setattr__(self, "exactness_order", min(2 * n_theta - 1, n_phi - 1))
         total = self.weights.sum()
         if abs(total - 4 * pi) > 1e-10:
             raise ToleranceError(f"grid weights sum to {total!r}, not 4pi")
-
-    def __setattr__(self, name, value):
-        # exactness_order and the node arrays must keep agreeing with n_phi
-        raise AttributeError("SphereGrid is immutable")
 
     @classmethod
     def for_spin(cls, sys: SpinSystem) -> "SphereGrid":
@@ -126,12 +122,6 @@ class SphereGrid:
         return (self.n_theta == other.n_theta and self.n_phi == other.n_phi
                 and np.array_equal(self.thetas, other.thetas)
                 and np.array_equal(self.phis, other.phis))
-
-
-def _ro(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 def _log_binomials(j: float) -> np.ndarray:
@@ -180,7 +170,7 @@ def coherent_kernel(sys: SpinSystem, grid: SphereGrid) -> np.ndarray:
     keeps this as the independent oracle that tests compare against.
     """
     kernel = _coherent_amplitudes(sys, grid.thetas, grid.phis)
-    kernel.setflags(write=False)
+    kernel.setflags(write=False)  # frozen in place: a copy by `owned` would double the peak
     return kernel
 
 
@@ -193,8 +183,8 @@ class QFunction:
     j: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", _ro(vals))
+        vals = owned(self.values, float)
+        object.__setattr__(self, "values", vals)
         if vals.size != self.grid.size:
             raise ValueError("value count does not match grid size")
         if vals.min() < 0:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fapplab.errors import ToleranceError
-from fapplab.qcore import OperatorMatrix, ProductSpace, StateVector, partial_trace
+from fapplab.qcore import OperatorMatrix, StateVector, partial_trace
 from fapplab.bell import (_SHOT_CHUNK, LAB_DIM, ChshSettings, MacroObservable,
                           branch_projection_observable, build_bell_state, chsh_summary,
                           chsh_value, correlation, correlation_sampled, default_branches,
@@ -46,7 +46,7 @@ class TestBellState:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_reduced_laboratory_is_even_branch_mixture(self, state, basis):
-        space = ProductSpace((LAB_DIM, LAB_DIM))
+        space = (LAB_DIM, LAB_DIM)
         rho_a = partial_trace(state.density(), space, keep=[0])
         up, down = (s.amplitudes for s in basis)
         expected = 0.5 * (np.outer(up, up.conj()) + np.outer(down, down.conj()))

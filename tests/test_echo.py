@@ -413,3 +413,41 @@ class TestEchoCurve:
         with pytest.raises(ToleranceError):
             EchoCurve(times=[0.0, 1.0], mean_overlap=[0.5, 0.4],
                       std_error=[0.0, 0.0], analytic_bound=[1.0, 0.9])
+
+
+class TestNonFiniteInputs:
+    """Each of these was accepted and made `echo_experiment` return NaN: NaN
+    fails every comparison, so no range check fired."""
+
+    def test_nan_sigma_rejected(self, small_setup):
+        sys_, _, h0 = small_setup
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianPerturbation(sigma=np.nan, means=np.zeros(sys_.dim), seed=0, h0=h0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, small_setup, bad):
+        sys_, _, h0 = small_setup
+        means = np.zeros(sys_.dim)
+        means[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GaussianPerturbation(sigma=0.01, means=means, seed=0, h0=h0)
+
+    def test_nan_eigenvalue_rejected(self):
+        # min_spacing would read nan, and any sigma would pass its limit
+        sys_ = SpinSystem(1)
+        with pytest.raises(ValueError, match="finite"):
+            SpectralHamiltonian(sys=sys_, eigenbasis=OperatorMatrix(np.eye(3), kind="unitary"),
+                                eigenvalues=np.array([0.0, np.nan, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_time_rejected_before_any_member(self, small_setup, monkeypatch, bad):
+        sys_, grid, h0 = small_setup
+        pert = GaussianPerturbation(sigma=0.01, means=np.zeros(sys_.dim), seed=0, h0=h0)
+        psi = coherent_state(sys_, SolidAngle(0.9, 0.2))
+
+        def must_not_run(self, index):
+            raise AssertionError("a member was drawn")
+
+        monkeypatch.setattr(GaussianPerturbation, "draw_values", must_not_run)
+        with pytest.raises(ValueError, match="finite"):
+            echo_experiment(psi, h0, pert, [0.0, 1.0, bad], 100, sys_, grid)

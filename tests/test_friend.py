@@ -27,13 +27,13 @@ def space2():
 class TestPreparation:
     def test_reduced_atom_is_plus_x(self, space):
         state = prepare_initial(space)
-        rho1 = partial_trace(state.psi.density(), space.layout, keep=[0])
+        rho1 = partial_trace(state.psi.density(), space.factor_dims, keep=[0])
         xplus = np.array([1, 1]) / np.sqrt(2)
         assert_allclose(rho1.entries, np.outer(xplus, xplus), atol=1e-14)
 
     def test_sense_organs_start_down(self, space):
         state = prepare_initial(space)
-        rho23 = partial_trace(state.psi.density(), space.layout, keep=[1, 2])
+        rho23 = partial_trace(state.psi.density(), space.factor_dims, keep=[1, 2])
         expected = np.zeros((4, 4))
         expected[3, 3] = 1.0  # both organs in |z->
         assert_allclose(rho23.entries, expected, atol=1e-14)
@@ -64,8 +64,8 @@ class TestSternGerlach:
         state = stern_gerlach(prepare_initial(space2))
         amps = state.psi.amplitudes
         # (|z+,z+,z-> + |z-,z-,z+>)/sqrt2 on systems 1-3, observer ready, blank msg
-        idx_up = space2.layout.flat_index((0, 0, 1, 0, 2))
-        idx_down = space2.layout.flat_index((1, 1, 0, 0, 2))
+        idx_up = np.ravel_multi_index((0, 0, 1, 0, 2), space2.factor_dims)
+        idx_down = np.ravel_multi_index((1, 1, 0, 0, 2), space2.factor_dims)
         expected = np.zeros(space2.total_dim, dtype=complex)
         expected[idx_up] = expected[idx_down] = 1 / np.sqrt(2)
         assert_allclose(amps, expected, atol=1e-14)
@@ -78,10 +78,10 @@ class TestSternGerlach:
         state = LabState(space=space2, psi=psi, stage="initial")
         out = stern_gerlach(state)
         for factor in range(5):
-            rho = partial_trace(out.psi.density(), space2.layout, keep=[factor])
+            rho = partial_trace(out.psi.density(), space2.factor_dims, keep=[factor])
             purity = np.trace(rho.entries @ rho.entries).real
             assert purity == pytest.approx(1.0, abs=1e-12), f"factor {factor}"
-        rho2 = partial_trace(out.psi.density(), space2.layout, keep=[1])
+        rho2 = partial_trace(out.psi.density(), space2.factor_dims, keep=[1])
         assert_allclose(rho2.entries, [[1, 0], [0, 0]], atol=1e-14)  # flipped to up
 
     def test_self_inverse_on_definite_inputs(self, space2):
@@ -111,7 +111,7 @@ class TestObserverCoupling:
 
     def test_observer_marginal_maximally_mixed_on_knows_states(self, space):
         state = observer_coupling(stern_gerlach(prepare_initial(space)))
-        rho4 = partial_trace(state.psi.density(), space.layout, keep=[3])
+        rho4 = partial_trace(state.psi.density(), space.factor_dims, keep=[3])
         expected = np.zeros((space.observer_dim, space.observer_dim))
         expected[0, 0] = expected[1, 1] = 0.5
         assert_allclose(rho4.entries, expected, atol=1e-14)
@@ -291,8 +291,8 @@ class TestLocalGatesAgainstFullSpaceOracle:
         state = LabState(space=space, psi=StateVector(amps, normalize=True),
                          stage="post-message")
         rho = state.psi.density()
-        rho5 = partial_trace(rho, space.layout, [4]).entries
-        rho14 = partial_trace(rho, space.layout, [0, 1, 2, 3]).entries
+        rho5 = partial_trace(rho, space.factor_dims, [4]).entries
+        rho14 = partial_trace(rho, space.factor_dims, [0, 1, 2, 3]).entries
         assert_allclose(message_reduced_state(state).entries, rho5, rtol=0, atol=1e-15)
 
         def entropy(r):

@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fapplab.errors import ToleranceError
-from fapplab.qcore import (OperatorMatrix, ProductSpace, StateVector, partial_trace, tensor,
-                           tensor_all)
+from fapplab.qcore import OperatorMatrix, StateVector, partial_trace, tensor, tensor_all
 
 from conftest import SIGMA_X, SIGMA_Z, random_state
 
@@ -62,19 +61,6 @@ class TestOperatorMatrix:
             OperatorMatrix(m, kind=kind)
 
 
-class TestProductSpace:
-    def test_index_bijection(self):
-        space = ProductSpace((2, 3, 4))
-        assert space.total_dim == 24
-        for multi in np.ndindex(space.factor_dims):
-            assert space.flat_index(multi) == np.ravel_multi_index(multi, space.factor_dims)
-
-    def test_leftmost_most_significant(self):
-        space = ProductSpace((2, 3))
-        assert space.flat_index((1, 0)) == 3
-        assert space.flat_index((0, 2)) == 2
-
-
 class TestTensor:
     def test_basis_composition(self):
         out = tensor(sv(1, 0), sv(0, 1))
@@ -114,26 +100,26 @@ class TestTensor:
 
 class TestPartialTrace:
     def test_product_basis(self):
-        space = ProductSpace((2, 2))
+        space = (2, 2)
         rho = tensor(sv(1, 0), sv(1, 0)).density()
         out = partial_trace(rho, space, keep=[0])
         assert_allclose(out.entries, [[1, 0], [0, 0]], atol=1e-15)
 
     def test_maximally_entangled(self):
-        space = ProductSpace((2, 2))
+        space = (2, 2)
         bell = sv(1, 0, 0, 1)
         for keep in ([0], [1]):
             out = partial_trace(bell.density(), space, keep=keep)
             assert_allclose(out.entries, np.eye(2) / 2, atol=1e-12)
 
     def test_keep_all_identity(self, rng):
-        space = ProductSpace((2, 3))
+        space = (2, 3)
         psi = StateVector(random_state(rng, 6))
         out = partial_trace(psi.density(), space, keep=[0, 1])
         assert_allclose(out.entries, psi.density().entries, atol=1e-15)
 
     def test_product_state_factors(self, rng):
-        space = ProductSpace((3, 4))
+        space = (3, 4)
         a = StateVector(random_state(rng, 3))
         b = StateVector(random_state(rng, 4))
         rho = tensor(a, b).density()
@@ -143,13 +129,19 @@ class TestPartialTrace:
                         atol=1e-12)
 
     def test_rejects_non_density(self):
-        space = ProductSpace((2, 2))
+        space = (2, 2)
         bad = OperatorMatrix(np.eye(4))  # trace 4
         with pytest.raises(ValueError):
             partial_trace(bad, space, keep=[0])
 
+    @pytest.mark.parametrize("dims", [(), (0, 4), (-2, -2)])
+    def test_rejects_non_positive_dims(self, dims):
+        # (-2, -2) has the product 4 of a matching dimension
+        with pytest.raises(ValueError, match="positive"):
+            partial_trace(sv(1, 0, 0, 0).density(), dims, keep=[0])
+
     def test_rejects_dim_mismatch(self):
-        space = ProductSpace((2, 2))
+        space = (2, 2)
         rho = sv(1, 0).density()
         with pytest.raises(ValueError):
             partial_trace(rho, space, keep=[0])
