@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, GridOrderError, StageError, ToleranceError
 from .qcore import OperatorMatrix, StateVector, partial_trace, tensor, tensor_all
-from .spincoarse import (CapRegion, QFunction, SolidAngle, SphereGrid, SpinSystem,
-                         bhattacharyya, coherent_kernel, coherent_state,
-                         povm_element, q_function, q_function_pure)
+from .spincoarse import (QFunction, SolidAngle, SphereGrid, SpinSystem, bhattacharyya,
+                         coherent_kernel, coherent_state, q_function, q_function_pure)
 from .reversal import (CellRegion, PhasePoint, ReversalConfig, ReversalResult,
                        ReversibleMap, bound, lyapunov, lyapunov_rows,
                        reversal_probabilities, reversal_probability)

@@ -84,21 +84,6 @@ def _rotated(z: np.ndarray, x: np.ndarray, angle: float) -> MacroObservable:
     return _macro(np.cos(angle) * z + np.sin(angle) * x)
 
 
-def branch_projection_observable(branches) -> MacroObservable:
-    """Z-analogue: +1 on the recorded-up branch, -1 on the recorded-down branch."""
-    return _macro(_branch_matrices(branches)[0])
-
-
-def interference_observable(branches) -> MacroObservable:
-    """X-analogue: branch-swap observable, +1/-1 on the superposition outputs."""
-    return _macro(_branch_matrices(branches)[1])
-
-
-def rotated_observable(branches, angle: float) -> MacroObservable:
-    """cos(angle) * Z + sin(angle) * X within the branch span."""
-    return _rotated(*_branch_matrices(branches), angle)
-
-
 @dataclass(frozen=True)
 class ChshSettings:
     """Two observables per side; defaults give the maximal quantum violation."""
@@ -145,9 +130,23 @@ def correlation(state: StateVector, obs_a: MacroObservable, obs_b: MacroObservab
     return val.real
 
 
+def _largest_form(corr: dict) -> tuple[str, float]:
+    """(name, |value|) of the CHSH form of largest absolute value, the first on a
+    tie. With the absolute value the four sign placements are all eight CHSH
+    inequalities, which hold together iff the four records have a joint
+    distribution (Fine, PRL 48, 291 (1982))."""
+    e11, e12, e21, e22 = (corr[name] for name in ("a1b1", "a1b2", "a2b1", "a2b2"))
+    forms = {"a1b1+a1b2+a2b1-a2b2": e11 + e12 + e21 - e22,
+             "a1b1+a1b2-a2b1+a2b2": e11 + e12 - e21 + e22,
+             "a1b1-a1b2+a2b1+a2b2": e11 - e12 + e21 + e22,
+             "-a1b1+a1b2+a2b1+a2b2": -e11 + e12 + e21 + e22}
+    name = max(forms, key=lambda form: abs(forms[form]))
+    return name, abs(forms[name])
+
+
 def chsh_from_correlations(corr: dict) -> float:
-    """|<A1B1> + <A1B2> + <A2B1> - <A2B2>| from a {setting pair: correlation} dict."""
-    return abs(corr["a1b1"] + corr["a1b2"] + corr["a2b1"] - corr["a2b2"])
+    """Largest |CHSH form| from a {setting pair: correlation} dict."""
+    return _largest_form(corr)[1]
 
 
 def chsh_value(state: StateVector, settings: ChshSettings) -> float:
@@ -157,7 +156,7 @@ def chsh_value(state: StateVector, settings: ChshSettings) -> float:
 
 
 def lhv_bound() -> float:
-    """Exhaustive maximum of the CHSH expression over deterministic strategies.
+    """Exhaustive maximum of the CHSH value over deterministic strategies.
 
     Every side assigns fixed values +/-1 to both of its settings; all sixteen
     assignments are enumerated, so the returned ceiling (2) is exact.
@@ -207,11 +206,13 @@ def correlation_sampled(state: StateVector, obs_a: MacroObservable, obs_b: Macro
 
 def chsh_summary(correlations: dict) -> dict:
     """CHSH value of exact or sampled correlations vs the deterministic-assignment
-    ceiling, and whether joint outside/inside records are excluded."""
-    chsh = chsh_from_correlations(correlations)
+    ceiling, the form that attains it, and whether joint outside/inside records
+    are excluded."""
+    form, chsh = _largest_form(correlations)
     classical = lhv_bound()
     return {
         "correlations": correlations,
+        "chsh_form": form,
         "chsh_value": chsh,
         "lhv_bound": classical,
         "margin": chsh - classical,

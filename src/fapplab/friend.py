@@ -176,29 +176,21 @@ def _superpositions(up: StateVector, down: StateVector) -> tuple[StateVector, St
 def interference_measurement(state, space: LabSpace | None = None):
     """Probabilities of the two superposition-basis outcomes on systems 1-4.
 
-    Accepts a LabState (post-observer or post-message), or a bare StateVector
-    / density OperatorMatrix living on the systems-1-4 subspace. Returns
+    Accepts a LabState (post-observer or post-message) or a density
+    OperatorMatrix living on the systems-1-4 subspace. Returns
     (p_plus, p_minus, p_rest) with p_rest the weight outside the two-output span.
     """
     if isinstance(state, LabState):
         return _lab_interference(state, *interference_states(state.space))
-    if space is None:
-        space = LabSpace(observer_dim=2)
-    plus, minus = interference_states(space)
-    if isinstance(state, StateVector):
-        if state.dim != plus.dim:
-            raise ValueError(f"expected a state of dimension {plus.dim}")
-        p_plus = abs(np.vdot(plus.amplitudes, state.amplitudes)) ** 2
-        p_minus = abs(np.vdot(minus.amplitudes, state.amplitudes)) ** 2
-    elif isinstance(state, OperatorMatrix):
-        if state.dim != plus.dim:
-            raise ValueError(f"expected an operator of dimension {plus.dim}")
-        if not state.is_density():
-            raise ValueError("operator input must be a density matrix")
-        p_plus = float(np.real(plus.amplitudes.conj() @ state.entries @ plus.amplitudes))
-        p_minus = float(np.real(minus.amplitudes.conj() @ state.entries @ minus.amplitudes))
-    else:
-        raise TypeError("state must be LabState, StateVector, or OperatorMatrix")
+    if not isinstance(state, OperatorMatrix):
+        raise TypeError("state must be a LabState or a density OperatorMatrix")
+    plus, minus = interference_states(space or LabSpace(observer_dim=2))
+    if state.dim != plus.dim:
+        raise ValueError(f"expected an operator of dimension {plus.dim}")
+    if not state.is_density():
+        raise ValueError("operator input must be a density matrix")
+    p_plus = float(np.real(plus.amplitudes.conj() @ state.entries @ plus.amplitudes))
+    p_minus = float(np.real(minus.amplitudes.conj() @ state.entries @ minus.amplitudes))
     return _with_rest(p_plus, p_minus)
 
 
@@ -217,12 +209,6 @@ def _subsystem_probability(state: LabState, target_14: StateVector) -> float:
     m = state.psi.amplitudes.reshape(8 * d4, 3)
     amp = target_14.amplitudes.conj() @ m  # residual message-space vector
     return float(np.real(np.vdot(amp, amp)))
-
-
-def branch_probabilities(state: LabState) -> tuple[float, float]:
-    """Weights of the two recorded branches in a post-observer state."""
-    up, down = branch_states(state.space)
-    return (_subsystem_probability(state, up), _subsystem_probability(state, down))
 
 
 def _reduced(rho: np.ndarray) -> OperatorMatrix:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qcore import owned
+
 TWO_PI = 2.0 * np.pi
 
 #: samples per Monte-Carlo block: two 128 KB coordinate arrays and their
@@ -104,8 +106,9 @@ class PhasePoint:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q", float(self.q) % TWO_PI)
-        object.__setattr__(self, "p", float(self.p) % TWO_PI)
+        q, p = owned((self.q, self.p), float).tolist()  # refuses NaN and inf
+        object.__setattr__(self, "q", q % TWO_PI)
+        object.__setattr__(self, "p", p % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -208,9 +211,11 @@ class ReversalResult:
     lyapunov_estimate: float
     bound: float
 
+    def __post_init__(self):  # refuses a NaN or inf estimate passed by the caller
+        owned((self.probability, self.std_error, self.lyapunov_estimate, self.bound), float)
 
-def reversal_probability(cfg: ReversalConfig,
-                         lyapunov_estimate: float | None = None) -> ReversalResult:
+
+def reversal_probability(cfg: ReversalConfig, lyapunov_estimate: float) -> ReversalResult:
     """Monte-Carlo estimate of the probability of returning to the start cell.
 
     Protocol per sample: draw x0 uniformly in the cell, run the true map
@@ -225,7 +230,7 @@ def reversal_probability(cfg: ReversalConfig,
     a second one on the same seed advanced past the q draws, as each uniform
     double takes one 64-bit output. `lyapunov_estimate` is the exponent of
     `cfg.map` at the row's seed, as `reversal_probabilities` computes it for
-    many rows at once; when it is None it is estimated here.
+    many rows at once.
     """
     seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
     q_rng = np.random.default_rng(seed)
@@ -243,8 +248,6 @@ def reversal_probability(cfg: ReversalConfig,
         hits += int(np.count_nonzero(cfg.region.contains(q, p)))
     prob = hits / cfg.samples
     std_error = float(np.sqrt(prob * (1 - prob) / cfg.samples))
-    if lyapunov_estimate is None:
-        lyapunov_estimate = lyapunov(cfg.map, seed=_lyapunov_seed(cfg.seed))
     return ReversalResult(probability=prob, std_error=std_error,
                           lyapunov_estimate=lyapunov_estimate,
                           bound=bound(lyapunov_estimate, cfg.steps))

@@ -1,6 +1,6 @@
 """Spin-j coherent states, sphere quadrature, Husimi Q-functions as
-coarse-grained macroscopic states, cap POVM elements, and the Bhattacharyya
-distinguishability coefficient.
+coarse-grained macroscopic states, and the Bhattacharyya distinguishability
+coefficient.
 
 Dicke basis convention: amplitudes are ordered by ascending magnetic quantum
 number m = -j ... +j, so index k holds m = k - j.
@@ -28,7 +28,6 @@ BHATTACHARYYA_EXCESS_TOL = 1e-8
 # evaluation; 512 KiB (768 KiB of chunk buffers with the real |.|^2) was the
 # fastest echo budget between 128 KiB and 8 MiB on a core with 4 MiB of L2
 OVERLAP_CHUNK_BYTES = 512 * 2**10
-MACRO_WIDTH_FACTOR = 5.0  # operational reading of "z-width well above sqrt(j)"
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class SpinSystem:
     j: float
 
     def __post_init__(self):
-        twoj = round(2 * self.j)
+        twoj = round(2 * self.j) if np.isfinite(self.j) else 0
         if abs(2 * self.j - twoj) > 1e-12 or twoj < 1:
             raise ValueError(f"j must be a half-integer >= 1/2, got {self.j}")
         if twoj > 2 * MAX_J:
@@ -66,13 +65,6 @@ class SolidAngle:
             raise ValueError(f"theta {self.theta} outside [0, pi]")
         if not 0.0 <= self.phi < 2 * pi:
             raise ValueError(f"phi {self.phi} outside [0, 2pi)")
-
-    def angle_to(self, other: "SolidAngle") -> float:
-        """Great-circle angle between the two directions."""
-        c = (np.cos(self.theta) * np.cos(other.theta)
-             + np.sin(self.theta) * np.sin(other.theta) * np.cos(self.phi - other.phi))
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
 
 class SphereGrid(Immutable):
     """Product quadrature on the sphere: Gauss-Legendre in cos(theta) times a
@@ -185,6 +177,7 @@ class QFunction:
     def __post_init__(self):
         vals = owned(self.values, float)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "j", SpinSystem(self.j).j)
         if vals.size != self.grid.size:
             raise ValueError("value count does not match grid size")
         if vals.min() < 0:
@@ -210,36 +203,6 @@ class QFunction:
             lines += [f"{head}{ph}{tail}{v}\n"
                       for ph, v in zip(phis, values[row * n_phi:(row + 1) * n_phi])]
         fileobj.write("".join(lines))
-
-
-@dataclass(frozen=True)
-class CapRegion:
-    """Spherical cap: all directions within angular_radius of the center."""
-
-    center: SolidAngle
-    angular_radius: float
-
-    def __post_init__(self):
-        if not 0.0 < self.angular_radius <= pi:
-            raise ValueError(f"angular radius {self.angular_radius} outside (0, pi]")
-
-    def contains(self, theta, phi) -> np.ndarray:
-        c = (np.cos(self.center.theta) * np.cos(theta)
-             + np.sin(self.center.theta) * np.sin(theta) * np.cos(phi - self.center.phi))
-        return np.arccos(np.clip(c, -1.0, 1.0)) <= self.angular_radius
-
-    def z_projection_width(self, sys: SpinSystem) -> float:
-        """Width of the cap's m-projection along z: Delta_m = j (cos t_min - cos t_max)."""
-        t_min = max(0.0, self.center.theta - self.angular_radius)
-        t_max = min(pi, self.center.theta + self.angular_radius)
-        return sys.j * (np.cos(t_min) - np.cos(t_max))
-
-    def is_macroscopic(self, sys: SpinSystem) -> bool:
-        """Advisory flag: the m-width must dominate the coherent-state spread.
-
-        Operational threshold: Delta_m >= 5 sqrt(j).
-        """
-        return self.z_projection_width(sys) >= MACRO_WIDTH_FACTOR * np.sqrt(sys.j)
 
 
 def _check_density(rho: OperatorMatrix, dim: int):
@@ -328,22 +291,6 @@ def q_function_pure(psi: StateVector, sys: SpinSystem, grid: SphereGrid) -> QFun
         raise ValueError(f"state dim {psi.dim}, expected {sys.dim}")
     raw = _mixture_q(sys, grid, np.ones(1), psi.amplitudes[None, :])
     return _finalize_q(raw, grid, sys.j)
-
-
-def povm_element(sys: SpinSystem, region: CapRegion, grid: SphereGrid) -> OperatorMatrix:
-    """Coarse-grained POVM element: (2j+1)/(4pi) sum of w |Omega><Omega| over the cap."""
-    _check_order(sys, grid)
-    inside = region.contains(grid.thetas, grid.phis)
-    if not np.any(inside):
-        raise ValueError("cap region contains no grid nodes")
-    k_in = _coherent_amplitudes(sys, grid.thetas[inside], grid.phis[inside])
-    w_in = grid.weights[inside]
-    mat = (2 * sys.j + 1) / (4 * pi) * (k_in.T @ (w_in[:, None] * k_in.conj()))
-    mat = 0.5 * (mat + mat.conj().T)
-    low = np.linalg.eigvalsh(mat).min()
-    if low < -1e-10:
-        raise ToleranceError(f"POVM element has negative eigenvalue {low!r}")
-    return OperatorMatrix(mat, kind="hermitian")
 
 
 def bhattacharyya(p: QFunction, q: QFunction) -> float:

@@ -4,18 +4,23 @@ batches, kept for tests to compare the library's results against.
 The echo oracles evolve one ensemble member at a time, as an explicit
 perturbation operator applied in the reference eigenbasis, where
 `echo_experiment` takes every member's phase profile at once; the sampled CHSH
-value is the four `correlation_sampled` calls of a sampled bell run.
+value is the four `correlation_sampled` calls of a sampled bell run. The
+observable builders give the branch-span observables at any angle, where
+`ChshSettings.default` forms only its four; `great_circle_angle` is the angle
+in the closed-form coherent-state overlap law.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fapplab.bell import ChshSettings, chsh_from_correlations, correlation_sampled
+from fapplab.bell import (ChshSettings, MacroObservable, _branch_matrices, _macro, _rotated,
+                          chsh_from_correlations, correlation_sampled)
 from fapplab.echo import GaussianPerturbation, SpectralHamiltonian
 from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, StateVector
-from fapplab.spincoarse import SphereGrid, SpinSystem, bhattacharyya, q_function_pure
+from fapplab.spincoarse import (SolidAngle, SphereGrid, SpinSystem, bhattacharyya,
+                                q_function_pure)
 
 DIAGONAL_TOL = 1e-12
 
@@ -72,3 +77,25 @@ def chsh_value_sampled(state: StateVector, settings: ChshSettings, shots: int,
                        rng: np.random.Generator) -> float:
     return chsh_from_correlations({name: correlation_sampled(state, a, b, shots, rng)
                                    for name, a, b in settings.pairs()})
+
+
+def branch_projection_observable(branches) -> MacroObservable:
+    """Z-analogue: +1 on the recorded-up branch, -1 on the recorded-down branch."""
+    return _macro(_branch_matrices(branches)[0])
+
+
+def interference_observable(branches) -> MacroObservable:
+    """X-analogue: branch-swap observable, +1/-1 on the superposition outputs."""
+    return _macro(_branch_matrices(branches)[1])
+
+
+def rotated_observable(branches, angle: float) -> MacroObservable:
+    """cos(angle) * Z + sin(angle) * X within the branch span."""
+    return _rotated(*_branch_matrices(branches), angle)
+
+
+def great_circle_angle(a: SolidAngle, b: SolidAngle) -> float:
+    """Great-circle angle between the two directions."""
+    c = (np.cos(a.theta) * np.cos(b.theta)
+         + np.sin(a.theta) * np.sin(b.theta) * np.cos(a.phi - b.phi))
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))

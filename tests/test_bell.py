@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, StateVector, partial_trace
 from fapplab.bell import (_SHOT_CHUNK, LAB_DIM, ChshSettings, MacroObservable,
-                          branch_projection_observable, build_bell_state, chsh_summary,
-                          chsh_value, correlation, correlation_sampled, default_branches,
-                          interference_observable, lhv_bound, rotated_observable)
+                          build_bell_state, chsh_summary, chsh_value, correlation,
+                          correlation_sampled, default_branches, lhv_bound)
 
-from oracles import chsh_value_sampled
+from oracles import (branch_projection_observable, chsh_value_sampled,
+                     interference_observable, rotated_observable)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -353,3 +356,65 @@ class TestFactsReport:
         degenerate = ChshSettings(a1=z, a2=z, b1=settings.b1, b2=settings.b1)
         report = exact_summary(state, degenerate)
         assert report["coexistence_excluded"] is False
+
+
+#: the default angles of a1, a2, b1, b2 within the branch span
+DEFAULT_ANGLES = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
+#: the 16 deterministic assignments (a1, a2, b1, b2) of +/-1 values
+ASSIGNMENTS = np.array(list(itertools.product((-1, 1), repeat=4)))
+
+
+def rotated_settings(basis, angles):
+    return ChshSettings(*(rotated_observable(basis, angle) for angle in angles))
+
+
+def has_joint_distribution(corr):
+    """Whether some mixture of the 16 deterministic assignments reproduces the
+    four correlations: a feasibility LP over the assignment weights."""
+    a1, a2, b1, b2 = ASSIGNMENTS.T
+    rows = [np.ones(16), a1 * b1, a1 * b2, a2 * b1, a2 * b2]
+    target = [1.0] + [corr[name] for name in ("a1b1", "a1b2", "a2b1", "a2b2")]
+    result = linprog(np.zeros(16), A_eq=np.array(rows), b_eq=target, bounds=(0, None),
+                     method="highs")
+    assert result.status in (0, 2), result.message  # solved, or proven infeasible
+    return result.status == 0
+
+
+class TestEveryChshForm:
+    def test_verdict_equals_joint_distribution_lp(self, state, basis):
+        # Fine, PRL 48, 291 (1982): a joint distribution exists iff all eight
+        # CHSH inequalities hold
+        rng = np.random.default_rng(0)
+        forms = []
+        for _ in range(300):
+            settings = rotated_settings(basis, rng.uniform(0, 2 * np.pi, 4))
+            report = exact_summary(state, settings)
+            assert report["coexistence_excluded"] is not has_joint_distribution(
+                report["correlations"])
+            if report["coexistence_excluded"]:
+                forms.append(report["chsh_form"])
+        # both verdicts occur, and violations show up in every form
+        assert 0 < len(forms) < 300
+        assert set(forms) == {"a1b1+a1b2+a2b1-a2b2", "a1b1+a1b2-a2b1+a2b2",
+                              "a1b1-a1b2+a2b1+a2b2", "-a1b1+a1b2+a2b1+a2b2"}
+
+    @pytest.mark.parametrize("angles, form", [
+        (DEFAULT_ANGLES, "a1b1+a1b2+a2b1-a2b2"),
+        ((0.0, np.pi / 2, -np.pi / 4, np.pi / 4), "a1b1+a1b2-a2b1+a2b2"),
+        ((np.pi / 2, 0.0, np.pi / 4, -np.pi / 4), "a1b1-a1b2+a2b1+a2b2"),
+        ((np.pi / 2, 0.0, -np.pi / 4, np.pi / 4), "-a1b1+a1b2+a2b1+a2b2"),
+        ((np.pi, np.pi / 2, np.pi / 4, -np.pi / 4), "a1b1+a1b2-a2b1+a2b2"),
+        ((0.0, np.pi / 2, 5 * np.pi / 4, -np.pi / 4), "a1b1-a1b2+a2b1+a2b2"),
+    ], ids=["default", "swap-b", "swap-a", "swap-both", "negate-a1", "negate-b1"])
+    def test_relabelled_settings_keep_maximal_violation(self, state, basis, angles, form):
+        # a pi rotation negates an observable
+        settings = rotated_settings(basis, angles)
+        assert chsh_value(state, settings) == pytest.approx(2 * SQRT2, abs=1e-12)
+        report = exact_summary(state, settings)
+        assert report["chsh_form"] == form
+        assert report["coexistence_excluded"] is True
+
+    def test_default_value_is_the_first_form(self, state, settings):
+        corr = {name: correlation(state, a, b) for name, a, b in settings.pairs()}
+        first = abs(corr["a1b1"] + corr["a1b2"] + corr["a2b1"] - corr["a2b2"])
+        assert chsh_summary(corr)["chsh_value"].hex() == first.hex()

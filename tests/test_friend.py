@@ -5,8 +5,7 @@ from numpy.testing import assert_allclose
 from fapplab.errors import StageError
 from fapplab.qcore import (OperatorMatrix, StateVector, partial_trace, tensor_all)
 from fapplab.friend import (FLIP, MESSAGE_BLANK, X_PLUS, Z_MINUS, Z_PLUS, LabSpace,
-                            LabState, branch_probabilities,
-                            branch_states, interference_measurement,
+                            LabState, branch_states, interference_measurement,
                             interference_states, message_mutual_information,
                             message_purity, message_reduced_state, observer_coupling,
                             observer_unitary,
@@ -171,7 +170,7 @@ class TestInterferenceMeasurement:
 
     def test_single_branch_gives_even_odds(self, space2):
         up, _ = branch_states(space2)
-        p_plus, p_minus, _ = interference_measurement(up, space2)
+        p_plus, p_minus, _ = interference_measurement(up.density(), space2)
         assert p_plus == pytest.approx(0.5, abs=1e-12)
         assert p_minus == pytest.approx(0.5, abs=1e-12)
 
@@ -180,7 +179,7 @@ class TestInterferenceMeasurement:
         outside = tensor_all([StateVector([1, 0]), StateVector([0, 1]),
                               StateVector([0, 1]),
                               StateVector.basis(2, 0)])
-        p_plus, p_minus, p_rest = interference_measurement(outside, space2)
+        p_plus, p_minus, p_rest = interference_measurement(outside.density(), space2)
         assert p_plus == p_minus == 0.0
         assert p_rest == pytest.approx(1.0, abs=1e-12)
 
@@ -207,12 +206,11 @@ class TestComplementarity:
         assert np.max(np.abs(commutator)) > 0.9  # exactly 2i|u><d| blocks
 
     def test_sharp_interference_with_maximal_branch_uncertainty(self, space2):
-        state = observer_coupling(stern_gerlach(prepare_initial(space2)))
-        p_plus, _, _ = interference_measurement(state)
-        b_up, b_down = branch_probabilities(state)
-        assert p_plus == pytest.approx(1.0, abs=1e-12)
-        assert b_up == pytest.approx(0.5, abs=1e-12)
-        assert b_down == pytest.approx(0.5, abs=1e-12)
+        # both read from one post-observer state
+        report = run_pipeline(space2)
+        assert report["p_plus_pre_message"] == pytest.approx(1.0, abs=1e-12)
+        assert report["branch_probability_up"] == pytest.approx(0.5, abs=1e-12)
+        assert report["branch_probability_down"] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestPipelineReport:

@@ -296,26 +296,26 @@ class TestAreaPreservation:
 
 class TestReversalProbability:
     def test_unperturbed_reversal_is_exact(self):
-        result = reversal_probability(make_config(perturbed_kick=6.0, steps=10))
+        result = reversal_probabilities([make_config(perturbed_kick=6.0, steps=10)])[0]
         assert result.probability == 1.0
 
     def test_zero_steps(self):
-        result = reversal_probability(make_config(steps=0, perturbed_kick=6.5))
+        result = reversal_probabilities([make_config(steps=0, perturbed_kick=6.5)])[0]
         assert result.probability == 1.0
 
     def test_small_perturbation_long_time_decays(self):
         cfg = make_config(perturbed_kick=6.0 + 1e-3, steps=20, samples=100000)
-        result = reversal_probability(cfg)
+        result = reversal_probabilities([cfg])[0]
         assert result.probability < 0.05
 
     def test_std_error_formula(self):
-        result = reversal_probability(make_config(perturbed_kick=6.01, steps=5))
+        result = reversal_probabilities([make_config(perturbed_kick=6.01, steps=5)])[0]
         p = result.probability
         assert result.std_error == pytest.approx(np.sqrt(p * (1 - p) / 10000), abs=1e-15)
 
     def test_seed_determinism(self):
-        a = reversal_probability(make_config(perturbed_kick=6.02, steps=8))
-        b = reversal_probability(make_config(perturbed_kick=6.02, steps=8))
+        a = reversal_probabilities([make_config(perturbed_kick=6.02, steps=8)])[0]
+        b = reversal_probabilities([make_config(perturbed_kick=6.02, steps=8)])[0]
         assert a == b  # bit-identical dataclasses
 
     def test_monotone_decay_within_noise(self):
@@ -375,7 +375,7 @@ class TestStreamedMonteCarlo:
         cfg = make_config(perturbed_kick=6.01, steps=1, samples=1_000_000)
         tracemalloc.start()
         try:
-            reversal_probability(cfg)
+            reversal_probabilities([cfg])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -399,7 +399,8 @@ class TestBatchedRows:
                    make_config(perturbed_kick=6.0, steps=4, samples=300, seed=1),
                    make_config(map=ReversibleMap(0.3), perturbed_kick=0.31, steps=5,
                                samples=200, seed=1)]
-        want = [reversal_probability(cfg) for cfg in configs]
+        want = [reversal_probability(
+            cfg, lyapunov(cfg.map, seed=reversal._lyapunov_seed(cfg.seed))) for cfg in configs]
         passes = []
         rows = reversal.lyapunov_rows
 

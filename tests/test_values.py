@@ -1,14 +1,15 @@
 """README's value convention, checked on one instance of every public value
-type: attributes can be neither rebound nor deleted, and every stored array
+type: attributes can be neither rebound nor deleted, every stored array
 is a read-only copy that shares no memory with the array the caller passed,
-which stays writable."""
+which stays writable, and a NaN or inf in any float field is refused."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from fapplab import (CapRegion, CellRegion, ChshSettings, EchoCurve, GaussianPerturbation,
+from fapplab import (CellRegion, ChshSettings, EchoCurve, GaussianPerturbation,
                      LabSpace, LabState, MacroObservable, OperatorMatrix, PhasePoint,
                      QFunction, ReversalConfig, ReversalResult, ReversibleMap, SolidAngle,
                      SpectralHamiltonian, SphereGrid, SpinSystem, StateVector,
@@ -58,7 +59,6 @@ def _cases():
         "SolidAngle": lambda: (SolidAngle(0.5, 1.0), []),
         "SphereGrid": lambda: (SphereGrid(4, 5), []),
         "QFunction": lambda: (QFunction(grid=grid, values=values, j=1.0), [values]),
-        "CapRegion": lambda: (CapRegion(SolidAngle(0.5, 1.0), 0.4), []),
         "PhasePoint": lambda: (PhasePoint(1.0, 2.0), []),
         "ReversibleMap": lambda: (ReversibleMap(0.5), []),
         "CellRegion": lambda: (cell, []),
@@ -119,3 +119,74 @@ def test_caller_writes_do_not_reach_a_value():
     pert = perturbation(base)
     base[1] = 7.0
     assert pert.means[0] == 0.0
+
+
+def _with_entry(a, x):
+    """A copy of `a` whose last entry is x."""
+    a = np.array(a)
+    a.flat[-1] = x
+    return a
+
+
+def _nonfinite_builders():
+    """"Type.field" -> x -> an instance as in `_cases` but for that one float
+    field: a scalar field holds x, an array field holds x as its last entry."""
+    grid = SphereGrid(4, 5)
+    values = np.full(grid.size, 1 / (4 * np.pi))
+    cell = CellRegion(PhasePoint(1.0, 2.0), 0.3)
+    curve = [np.array([0.0, 1.0]), np.array([1.0, 0.9]), np.zeros(2), np.array([1.0, 0.8])]
+    result = [0.5, 0.01, 1.0, 0.3]
+
+    def curve_with(i):
+        return lambda x: EchoCurve(*[_with_entry(a, x) if k == i else a
+                                     for k, a in enumerate(curve)])
+
+    def result_with(i):
+        return lambda x: ReversalResult(*[x if k == i else v for k, v in enumerate(result)])
+
+    builders = {
+        "StateVector.amplitudes": lambda x: StateVector(_with_entry([0.6, 0.8j], x)),
+        "OperatorMatrix.entries": lambda x: OperatorMatrix(_with_entry(np.eye(2), x)),
+        "SpinSystem.j": SpinSystem,
+        "SolidAngle.theta": lambda x: SolidAngle(x, 1.0),
+        "SolidAngle.phi": lambda x: SolidAngle(0.5, x),
+        "QFunction.values": lambda x: QFunction(grid=grid, values=_with_entry(values, x), j=1.0),
+        "QFunction.j": lambda x: QFunction(grid=grid, values=values, j=x),
+        "PhasePoint.q": lambda x: PhasePoint(x, 2.0),
+        "PhasePoint.p": lambda x: PhasePoint(1.0, x),
+        "ReversibleMap.kick_strength": ReversibleMap,
+        "CellRegion.half_width": lambda x: CellRegion(PhasePoint(1.0, 2.0), x),
+        "ReversalConfig.perturbed_kick":
+            lambda x: ReversalConfig(ReversibleMap(0.5), x, 3, cell, 100, 1),
+        "SpectralHamiltonian.eigenvalues": lambda x: hamiltonian(np.array([0.0, 1.0, x])),
+        "GaussianPerturbation.sigma":
+            lambda x: GaussianPerturbation(sigma=x, means=np.zeros(3), seed=0, h0=hamiltonian()),
+        "GaussianPerturbation.means": lambda x: perturbation(np.array([0.0, 0.0, 0.0, x])),
+    }
+    for i, field in enumerate(dataclasses.fields(EchoCurve)):
+        builders[f"EchoCurve.{field.name}"] = curve_with(i)
+    for i, field in enumerate(dataclasses.fields(ReversalResult)):
+        builders[f"ReversalResult.{field.name}"] = result_with(i)
+    return builders
+
+
+NONFINITE = _nonfinite_builders()
+
+
+def test_every_float_field_has_a_nonfinite_case():
+    """Each constructor argument stored as a float or a float/complex array is
+    covered by `NONFINITE`, so a new value type or field cannot skip it."""
+    for name, build in CASES.items():
+        value, _ = build()
+        for param in inspect.signature(type(value)).parameters:
+            attr = getattr(value, param, None)
+            if isinstance(attr, float) or (isinstance(attr, np.ndarray)
+                                           and attr.dtype.kind in "fc"):
+                assert f"{type(value).__name__}.{param}" in NONFINITE, name
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", NONFINITE)
+def test_nonfinite_float_field_is_refused(field, x):
+    with pytest.raises(ValueError):
+        NONFINITE[field](x)
