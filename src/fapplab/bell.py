@@ -8,15 +8,17 @@ classical ceiling of the CHSH expression.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ToleranceError
 from .friend import LabSpace, branch_states
-from .qcore import OperatorMatrix, StateVector, owned
+from .qcore import HERMITIAN_TOL, OperatorMatrix, StateVector, owned
 
-LAB_DIM = 16
+#: one laboratory's recorded systems: friend's atom, two organs and a two-level observer
+LAB_DIM = math.prod(LabSpace(observer_dim=2).factor_dims[:4])
 EIGENVALUE_TOL = 1e-10
 # uniforms drawn at once by `correlation_sampled`: 512 KiB, so memory stays
 # bounded for any shot count
@@ -47,7 +49,7 @@ class MacroObservable:
         m = self.matrix.entries
         if self.matrix.dim != LAB_DIM:
             raise ValueError(f"observable must act on dimension {LAB_DIM}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ToleranceError("observable must be Hermitian")
         evals, vecs = np.linalg.eigh(m)
         dist = np.min(np.abs(evals[:, None] - np.array([-1.0, 0.0, 1.0])[None, :]), axis=1)

@@ -97,6 +97,8 @@ def parse_config_file(path: str) -> dict:
                 raw[key.strip()] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     return raw
 
 

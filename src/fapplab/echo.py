@@ -8,10 +8,9 @@ ensemble average damps only the off-diagonal level pairs, so the true curve
 levels off on a dephased plateau above it. `averaged_q_formula` gives that
 average exactly.
 
-Weak-perturbation model: the perturbed Hamiltonian shares the eigenvectors of
-the unperturbed one and only shifts its eigenvalues, so the combined evolution
-exp(+i(H0+V)t) exp(-iH0t) reduces to the pure phase profile exp(i V_alpha t)
-in the shared eigenbasis (hbar = 1).
+Weak-perturbation model: H0 and every perturbation V are diagonal in the
+Dicke basis, so the combined evolution exp(+i(H0+V)t) exp(-iH0t) reduces to
+the pure phase profile exp(i V_m t) on the Dicke amplitudes (hbar = 1).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError
-from .qcore import OperatorMatrix, StateVector, owned
+from .qcore import StateVector, owned
 from .spincoarse import (MAX_ENSEMBLE, SphereGrid, SpinSystem, _mixture_q, _node_overlaps,
                          q_function_pure)
 
@@ -31,19 +30,17 @@ SIGMA_SPACING_FACTOR = 0.2  # "spread well below the level spacing", made operat
 
 @dataclass(frozen=True)
 class SpectralHamiltonian:
-    """Non-degenerate Hamiltonian given by its eigenbasis and sorted eigenvalues."""
+    """Non-degenerate Hamiltonian diagonal in the Dicke basis, given by its
+    sorted eigenvalues, one per level m = -j .. +j."""
 
     sys: SpinSystem
-    eigenbasis: OperatorMatrix
     eigenvalues: np.ndarray
 
     def __post_init__(self):
         vals = owned(self.eigenvalues, float)
         object.__setattr__(self, "eigenvalues", vals)
-        if self.eigenbasis.dim != self.sys.dim or vals.size != self.sys.dim:
-            raise ValueError("eigenbasis/eigenvalue dimensions do not match the spin system")
-        if self.eigenbasis.kind != "unitary":
-            raise ValueError("eigenbasis must be a unitary OperatorMatrix")
+        if vals.size != self.sys.dim:
+            raise ValueError("one eigenvalue per level of the spin system is required")
         spacings = np.diff(vals)
         if spacings.size and spacings.min() <= 0:
             raise ValueError("eigenvalues must be strictly increasing (non-degenerate)")
@@ -58,14 +55,12 @@ class SpectralHamiltonian:
 
     @classmethod
     def random_dicke_diagonal(cls, sys: SpinSystem, seed: int) -> "SpectralHamiltonian":
-        """Default model: diagonal in the Dicke basis, spacings drawn uniformly
-        with unit mean (on [0.5, 1.5], so the spectrum is safely non-degenerate).
-        """
+        """Spacings drawn uniformly with unit mean (on [0.5, 1.5], so the
+        spectrum is safely non-degenerate)."""
         rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
         spacings = rng.uniform(0.5, 1.5, size=sys.dim - 1)
         evals = np.concatenate([[0.0], np.cumsum(spacings)])
-        return cls(sys=sys, eigenbasis=OperatorMatrix(np.eye(sys.dim), kind="unitary"),
-                   eigenvalues=evals)
+        return cls(sys=sys, eigenvalues=evals)
 
 
 @dataclass(frozen=True)
@@ -149,9 +144,9 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     curve exp(-(sigma t)^2 / 4). The diagonal level pairs escape that damping,
     so the mean overlap levels off above it; the exact ensemble-averaged
     Q-function is `averaged_q_formula`. Member states are pure phase profiles
-    (e^{iVt} * c) in the eigenbasis; for each time the whole ensemble goes
-    through the separable Q evaluation in chunks, one Bhattacharyya value per
-    member, reduced in place in the chunk's scratch overlaps. When every
+    e^{iVt} * psi on the Dicke amplitudes; for each time the whole ensemble
+    goes through the separable Q evaluation in chunks, one Bhattacharyya value
+    per member, reduced in place in the chunk's scratch overlaps. When every
     member equals the first, as at t = 0 or with sigma below SIGMA_BYPASS, one
     member is evaluated and its value copied to all.
     """
@@ -166,14 +161,12 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
         raise ValueError("perturbation ensemble is paired with a different Hamiltonian")
     q_before = q_function_pure(psi, sys, grid)
     weighted_before = grid.weights * np.sqrt(q_before.values)
-    u = h0.eigenbasis.entries
-    coeff = u.conj().T @ psi.amplitudes
     norm = (2 * sys.j + 1) / (4 * np.pi)
     values = np.array([pert.draw_values(member) for member in range(ensemble_size)])
 
     overlaps = np.empty((ensemble_size, times.size))
     for it, t in enumerate(times):
-        members = (np.exp(1j * values * t) * coeff) @ u.T
+        members = np.exp(1j * values * t) * psi.amplitudes
         # all members are one state at t = 0, and at every t when sigma < SIGMA_BYPASS
         same = bool(np.all(members == members[0]))
         for chunk, q_after in _node_overlaps(sys, grid, members[:1] if same else members):
@@ -198,17 +191,15 @@ def averaged_q_formula(psi: StateVector, h0: SpectralHamiltonian, pert: Gaussian
 
     Averaging e^{i(V_a - V_b)t} over independent Gaussian draws damps every
     off-diagonal pair by e^{-(sigma t)^2/2} while the diagonal pairs survive
-    undamped, leaving the dephased mixture of eigenlevel populations:
+    undamped, leaving the dephased mixture of Dicke-level populations:
 
         <Q(Omega,t)> = |<Omega|phi(t)>|^2 e^{-(sigma t)^2/2} * (2j+1)/(4pi)
-                       + (1 - e^{-(sigma t)^2/2}) sum_a |psi_a|^2 |<Omega|a>|^2 * (2j+1)/(4pi)
+                       + (1 - e^{-(sigma t)^2/2}) sum_m |psi_m|^2 |<Omega|m>|^2 * (2j+1)/(4pi)
 
-    with phi_a(t) = psi_a e^{i W_a t}.
+    with phi_m(t) = psi_m e^{i W_m t}.
     """
-    u = h0.eigenbasis.entries
-    coeff = u.conj().T @ psi.amplitudes
     damping = np.exp(-(pert.sigma * t) ** 2 / 2.0)
-    phi = np.exp(1j * pert.means * t) * coeff
-    coherent_part = _mixture_q(sys, grid, np.ones(1), (u @ phi)[None, :])
-    dephased_part = _mixture_q(sys, grid, np.abs(coeff) ** 2, u.T)
+    phi = np.exp(1j * pert.means * t) * psi.amplitudes
+    coherent_part = _mixture_q(sys, grid, np.ones(1), phi[None, :])
+    dephased_part = _mixture_q(sys, grid, np.abs(psi.amplitudes) ** 2, np.eye(sys.dim))
     return damping * coherent_part + (1.0 - damping) * dephased_part

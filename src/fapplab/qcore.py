@@ -1,5 +1,5 @@
 """Dense complex linear algebra: state vectors, operators, tensor products
-and the partial trace.
+of states and the partial trace.
 
 Composite indexing is row-major throughout: the leftmost tensor factor is
 the most significant index. States are compared by |<a|b>|, never
@@ -130,19 +130,11 @@ class OperatorMatrix(Immutable):
         return f"OperatorMatrix(dim={self.dim}, kind={self.kind!r})"
 
 
-def tensor(a, b):
-    """Kronecker product of two states or two operators (row-major order)."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, OperatorMatrix) and isinstance(b, OperatorMatrix):
-        if a.kind == b.kind and a.kind in ("hermitian", "unitary", "projector"):
-            kind = a.kind
-        elif {a.kind, b.kind} <= {"projector", "hermitian"}:
-            kind = "hermitian"
-        else:
-            kind = "generic"
-        return OperatorMatrix(np.kron(a.entries, b.entries), kind=kind)
-    raise TypeError("tensor expects two StateVectors or two OperatorMatrices")
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two states (row-major order)."""
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        raise TypeError("tensor expects two StateVectors")
+    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 def tensor_all(factors):
@@ -190,6 +182,6 @@ def partial_trace(rho: OperatorMatrix, dims, keep) -> OperatorMatrix:
     reduced = reduced.reshape(d_keep, d_keep)
     reduced = 0.5 * (reduced + reduced.conj().T)
     tr = np.trace(reduced).real
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > DENSITY_TOL:
         raise ToleranceError(f"partial trace lost normalization: trace {tr!r}")
     return OperatorMatrix(reduced, kind="hermitian")

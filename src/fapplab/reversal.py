@@ -39,8 +39,9 @@ MAX_RUN_SAMPLE_STEPS = 2 * MAX_SAMPLE_STEPS
 #: most rows per run: the stacked Lyapunov pass costs ~140 ns per point-step
 #: (2 cores), so 1000 rows x 32 points x 4100 steps take ~18 s
 MAX_ROWS = 1000
-#: Lyapunov estimate: map steps before the tangent loop, and points averaged over
-TRANSIENT, N_INIT = 100, 32
+#: Lyapunov estimate: map steps before the tangent loop, tangent-map steps, and
+#: points averaged over
+TRANSIENT, STEPS, N_INIT = 100, 4000, 32
 
 
 def _wrap(x) -> None:
@@ -276,24 +277,22 @@ def reversal_probabilities(configs) -> list:
     return [reversal_probability(cfg, estimates[cfg.map, cfg.seed]) for cfg in configs]
 
 
-def lyapunov(mapping: ReversibleMap, steps: int = 4000, seed=0) -> float:
-    """Largest Lyapunov exponent by tangent-map iteration with renormalization,
-    averaged over random initial points. Non-chaotic regimes give ~0.
-    `seed` is anything `np.random.default_rng` accepts.
+def lyapunov(mapping: ReversibleMap, seed) -> float:
+    """Largest Lyapunov exponent by STEPS tangent-map iterations with
+    renormalization, averaged over N_INIT random initial points. Non-chaotic
+    regimes give ~0. `seed` is anything `np.random.default_rng` accepts.
     """
-    return lyapunov_rows(mapping, [seed], steps)[0]
+    return lyapunov_rows(mapping, [seed])[0]
 
 
-def lyapunov_rows(mapping: ReversibleMap, seeds, steps: int = 4000) -> list:
-    """`lyapunov(mapping, steps, seed)` for every seed, in order, from one
+def lyapunov_rows(mapping: ReversibleMap, seeds) -> list:
+    """`lyapunov(mapping, seed)` for every seed, in order, from one
     tangent-map loop over all rows' initial points.
 
     Each seed draws its N_INIT points from its own generator, and every
     operation of the loop is elementwise, so stacking the rows moves no bit
     (Benettin, Galgani, Giorgilli & Strelcyn, Meccanica 15, 9 (1980)).
     """
-    if steps < 1000:
-        raise ValueError("need at least 1e3 tangent-map steps")
     half_kick = 0.5 * mapping.kick_strength
     # row-wise draws keep the RNG order
     start = np.concatenate([np.random.default_rng(seed).uniform(0.0, TWO_PI, (N_INIT, 2))
@@ -305,7 +304,7 @@ def lyapunov_rows(mapping: ReversibleMap, seeds, steps: int = 4000) -> list:
     tangent[0] = 1.0
     v0, v1 = tangent
     c1v0, c2v0, norm, acc = (np.zeros_like(q) for _ in range(4))
-    for _ in range(steps):
+    for _ in range(STEPS):
         # tangent map J = J_kick(q_new) @ J_drift @ J_kick(q), multiplied out;
         # the new kick's slope is the next step's old one. On a few hundred
         # points one np.remainder call is cheaper than the nine tiny calls of
@@ -328,7 +327,7 @@ def lyapunov_rows(mapping: ReversibleMap, seeds, steps: int = 4000) -> list:
     for row in acc.reshape(-1, N_INIT):
         total = 0.0
         for a in row:  # left to right: np.sum pairs terms and would move the last bits
-            total += a / steps
+            total += a / STEPS
         estimates.append(total / N_INIT)
     return estimates
 

@@ -2,8 +2,8 @@
 batches, kept for tests to compare the library's results against.
 
 The echo oracles evolve one ensemble member at a time, as an explicit
-perturbation operator applied in the reference eigenbasis, where
-`echo_experiment` takes every member's phase profile at once; the sampled CHSH
+perturbation operator diagonal in the Dicke basis, where `echo_experiment`
+takes every member's phase profile at once; the sampled CHSH
 value is the four `correlation_sampled` calls of a sampled bell run. The
 observable builders give the branch-span observables at any angle, where
 `ChshSettings.default` forms only its four; `great_circle_angle` is the angle
@@ -26,27 +26,21 @@ DIAGONAL_TOL = 1e-12
 
 
 def draw_perturbation(pert: GaussianPerturbation, index: int) -> OperatorMatrix:
-    """Perturbation operator of one ensemble member, diagonal in the H0 eigenbasis."""
-    values = pert.draw_values(index)
-    u = pert.h0.eigenbasis.entries
-    mat = (u * values) @ u.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    return OperatorMatrix(mat, kind="hermitian")
+    """Perturbation operator of one ensemble member, diagonal in the Dicke basis."""
+    return OperatorMatrix(np.diag(pert.draw_values(index)), kind="hermitian")
 
 
 def _diagonal_values(h0: SpectralHamiltonian, v: OperatorMatrix) -> np.ndarray:
-    """Eigenbasis representation of V; rejects anything not diagonal there."""
+    """Level shifts of V; rejects a V that is not diagonal in the Dicke basis."""
     if v.dim != h0.sys.dim:
         raise ValueError("perturbation dimension mismatch")
-    u = h0.eigenbasis.entries
-    in_basis = u.conj().T @ v.entries @ u
-    off = in_basis - np.diag(np.diag(in_basis))
+    off = v.entries - np.diag(np.diag(v.entries))
     worst = np.max(np.abs(off))
     if worst > DIAGONAL_TOL:
         raise ToleranceError(
-            f"perturbation is not diagonal in the reference eigenbasis "
-            f"(off-diagonal {worst:.3e}); the shared-eigenvector model does not apply")
-    diag = np.diag(in_basis)
+            f"perturbation is not diagonal in the Dicke basis "
+            f"(off-diagonal {worst:.3e}); the dephasing model does not apply")
+    diag = np.diag(v.entries)
     if np.max(np.abs(diag.imag)) > DIAGONAL_TOL:
         raise ToleranceError("perturbation has non-real eigenvalues")
     return diag.real
@@ -54,13 +48,11 @@ def _diagonal_values(h0: SpectralHamiltonian, v: OperatorMatrix) -> np.ndarray:
 
 def combined_evolution(psi: StateVector, h0: SpectralHamiltonian,
                        v: OperatorMatrix, t: float) -> StateVector:
-    """exp(+i(H0+V)t) exp(-iH0t)|psi>: phase profile e^{i V_alpha t} per level."""
+    """exp(+i(H0+V)t) exp(-iH0t)|psi>: phase profile e^{i V_m t} per Dicke level."""
     if psi.dim != h0.sys.dim:
         raise ValueError("state dimension mismatch")
     values = _diagonal_values(h0, v)
-    u = h0.eigenbasis.entries
-    coeff = u.conj().T @ psi.amplitudes
-    return StateVector(u @ (np.exp(1j * values * t) * coeff))
+    return StateVector(np.exp(1j * values * t) * psi.amplitudes)
 
 
 def reversibility_measure(psi: StateVector, h0: SpectralHamiltonian, v: OperatorMatrix,

@@ -80,6 +80,14 @@ class TestExitCodes:
         assert run_cli("--config", cfg, "--out", str(tmp_path / "o.csv")) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"experiment=friend\n\xff\xfe=1\n")
+        out = tmp_path / "o.txt"
+        assert run_cli("--config", str(cfg), "--out", str(out)) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_experiment_is_2(self, tmp_path):
         assert run_cli("--out", str(tmp_path / "o.csv")) == 2
 

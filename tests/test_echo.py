@@ -34,9 +34,7 @@ class TestSpectralHamiltonian:
     def test_degenerate_rejected(self):
         sys_ = SpinSystem(1)
         with pytest.raises(ValueError):
-            SpectralHamiltonian(sys=sys_,
-                                eigenbasis=OperatorMatrix(np.eye(3), kind="unitary"),
-                                eigenvalues=np.array([0.0, 1.0, 1.0]))
+            SpectralHamiltonian(sys=sys_, eigenvalues=np.array([0.0, 1.0, 1.0]))
 
     def test_seed_determinism(self):
         a = SpectralHamiltonian.random_dicke_diagonal(SpinSystem(5), seed=42)
@@ -154,14 +152,6 @@ class TestReversibilityMeasure:
         assert max(vals) < 0.95
 
 
-def rotated_hamiltonian(sys_, rng):
-    """Non-degenerate H0 whose eigenbasis is a random unitary, not the Dicke basis."""
-    q, _ = np.linalg.qr(rng.standard_normal((sys_.dim, sys_.dim))
-                        + 1j * rng.standard_normal((sys_.dim, sys_.dim)))
-    return SpectralHamiltonian(sys=sys_, eigenbasis=OperatorMatrix(q, kind="unitary"),
-                               eigenvalues=np.arange(sys_.dim, dtype=float))
-
-
 @pytest.fixture(scope="module")
 def echo_run():
     sys_ = SpinSystem(6)
@@ -222,11 +212,11 @@ class TestEchoExperiment:
             jensen = float(np.sum(grid.weights * np.sqrt(q0.values * qbar)))
             assert curve.mean_overlap[i] <= jensen + 3 * curve.std_error[i] + 1e-12
 
-    def test_batch_matches_member_loop(self, rng):
+    def test_batch_matches_member_loop(self):
         # the batched ensemble against one reversibility_measure per member
         sys_ = SpinSystem(4)
         grid = SphereGrid.for_spin(sys_)
-        h0 = rotated_hamiltonian(sys_, rng)
+        h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=12)
         pert = GaussianPerturbation(sigma=0.05, means=np.zeros(sys_.dim), seed=3, h0=h0)
         psi = coherent_state(sys_, SolidAngle(1.0, 0.5))
         times = np.array([0.0, 20.0, 80.0])
@@ -258,13 +248,11 @@ def reference_echo(psi, h0, pert, times, ensemble_size, sys_, grid):
     allocate-per-chunk reference kernel."""
     q_before = q_function_pure(psi, sys_, grid)
     weighted_before = grid.weights * np.sqrt(q_before.values)
-    u = h0.eigenbasis.entries
-    coeff = u.conj().T @ psi.amplitudes
     norm = (2 * sys_.j + 1) / (4 * np.pi)
     values = np.array([pert.draw_values(member) for member in range(ensemble_size)])
     overlaps = np.empty((ensemble_size, times.size))
     for it, t in enumerate(times):
-        members = (np.exp(1j * values * t) * coeff) @ u.T
+        members = np.exp(1j * values * t) * psi.amplitudes
         for chunk, q_after in reference_node_overlaps(sys_, grid, members):
             overlaps[chunk, it] = np.sum(weighted_before * np.sqrt(norm * q_after), axis=1)
     np.clip(overlaps, 0.0, 1.0, out=overlaps)
@@ -284,10 +272,11 @@ class TestEchoBuffers:
         sys_ = SpinSystem(self.J)
         grid = SphereGrid.for_spin(sys_)
         rng = np.random.default_rng(77)
+        rotation = None
         if request.param.startswith("rotated"):
-            h0 = rotated_hamiltonian(sys_, rng)
-        else:
-            h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=5)
+            rotation, _ = np.linalg.qr(rng.standard_normal((sys_.dim, sys_.dim))
+                                       + 1j * rng.standard_normal((sys_.dim, sys_.dim)))
+        h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=5)
         sigma = 0.0 if request.param == "sigma-0" else 0.05 * h0.mean_spacing
         means = rng.uniform(-0.01, 0.01, sys_.dim) * h0.mean_spacing
         pert = GaussianPerturbation(sigma=sigma, means=means, seed=6, h0=h0)
@@ -295,6 +284,10 @@ class TestEchoBuffers:
         if request.param == "identity-sparse":
             # members agree on every level but two, and differ on those
             psi = StateVector(np.eye(sys_.dim)[3] + np.eye(sys_.dim)[8], normalize=True)
+        if rotation is not None:
+            # a coherent state under a random unitary: a dense random psi, so no
+            # member is a coherent state
+            psi = StateVector(rotation.conj().T @ psi.amplitudes, normalize=True)
         times = np.array([0.0, 7.0, 30.0, 90.0])
         if request.param == "rotated-without-0":
             times = times[1:]
@@ -374,22 +367,20 @@ class TestAveragedQFormula:
             dev = np.abs(mc_mean - exact)
             assert np.all(dev <= 5 * mc_se + 1e-12), f"t={t}"
 
-    def test_rotated_eigenbasis_matches_dense_oracle(self, rng):
+    def test_matches_dense_oracle(self, rng):
         sys_ = SpinSystem(6)
         grid = SphereGrid.for_spin(sys_)
-        kernel = coherent_kernel(sys_, grid)
-        h0 = rotated_hamiltonian(sys_, rng)
+        kernel = coherent_kernel(sys_, grid).conj()
+        h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=4)
         pert = GaussianPerturbation(sigma=0.1, means=rng.uniform(-0.01, 0.01, sys_.dim),
                                     seed=4, h0=h0)
-        psi = coherent_state(sys_, SolidAngle(2.0, 1.0))
-        u = h0.eigenbasis.entries
-        coeff = u.conj().T @ psi.amplitudes
-        ku = kernel.conj() @ u
+        psi = StateVector(random_state(rng, sys_.dim))
+        coeff = psi.amplitudes
         norm = (2 * sys_.j + 1) / (4 * np.pi)
         for t in (0.0, 7.0, 30.0):
             damping = np.exp(-(pert.sigma * t) ** 2 / 2)
-            coherent = np.abs(ku @ (np.exp(1j * pert.means * t) * coeff)) ** 2
-            dephased = np.abs(ku) ** 2 @ np.abs(coeff) ** 2
+            coherent = np.abs(kernel @ (np.exp(1j * pert.means * t) * coeff)) ** 2
+            dephased = np.abs(kernel) ** 2 @ np.abs(coeff) ** 2
             oracle = norm * (damping * coherent + (1 - damping) * dephased)
             got = averaged_q_formula(psi, h0, pert, t, sys_, grid)
             assert np.max(np.abs(got - oracle)) <= 1e-12 * oracle.max()
@@ -436,8 +427,7 @@ class TestNonFiniteInputs:
         # min_spacing would read nan, and any sigma would pass its limit
         sys_ = SpinSystem(1)
         with pytest.raises(ValueError, match="finite"):
-            SpectralHamiltonian(sys=sys_, eigenbasis=OperatorMatrix(np.eye(3), kind="unitary"),
-                                eigenvalues=np.array([0.0, np.nan, 2.0]))
+            SpectralHamiltonian(sys=sys_, eigenvalues=np.array([0.0, np.nan, 2.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_time_rejected_before_any_member(self, small_setup, monkeypatch, bad):

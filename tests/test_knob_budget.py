@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fapplab"
-KNOBS = 9
+KNOBS = 6
 
 
 def defaulted_parameters():

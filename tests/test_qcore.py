@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, StateVector, partial_trace, tensor, tensor_all
 
-from conftest import SIGMA_X, SIGMA_Z, random_state
+from conftest import SIGMA_Z, random_state
 
 
 def sv(*amps):
@@ -66,11 +66,6 @@ class TestTensor:
         out = tensor(sv(1, 0), sv(0, 1))
         assert_allclose(out.amplitudes, [0, 1, 0, 0])
 
-    def test_identity_product(self):
-        i2 = OperatorMatrix(np.eye(2), kind="projector")
-        out = tensor(i2, i2)
-        assert_allclose(out.entries, np.eye(4))
-
     def test_hand_expansion(self):
         # (|0> + |1>)/sqrt2 tensor |1>
         out = tensor(X_PLUS, sv(0, 1))
@@ -90,12 +85,11 @@ class TestTensor:
         right = tensor(a, tensor(b, c))
         assert_allclose(left.amplitudes, right.amplitudes, atol=1e-15)
 
-    def test_kind_propagation(self):
+    def test_rejects_operators(self):
         h = OperatorMatrix(SIGMA_Z, kind="hermitian")
-        u = OperatorMatrix(SIGMA_X, kind="unitary")
-        assert tensor(h, h).kind == "hermitian"
-        assert tensor(u, u).kind == "unitary"
-        assert tensor(h, u).kind == "generic"
+        for a, b in ((h, h), (h, sv(1, 0)), (sv(1, 0), h)):
+            with pytest.raises(TypeError, match="StateVector"):
+                tensor(a, b)
 
 
 class TestPartialTrace:

@@ -5,7 +5,7 @@ import pytest
 
 from fapplab import reversal
 from fapplab.reversal import (_CHUNK, MAX_ROWS, MAX_RUN_SAMPLE_STEPS, MAX_SAMPLE_STEPS,
-                              MAX_SAMPLES, TWO_PI, CellRegion,
+                              MAX_SAMPLES, N_INIT, STEPS, TRANSIENT, TWO_PI, CellRegion,
                               PhasePoint, ReversalConfig, ReversibleMap, _wrap, bound,
                               lyapunov, lyapunov_rows, reversal_probabilities,
                               reversal_probability)
@@ -40,19 +40,19 @@ def unfused_step(kick, q, p):
     return q, p
 
 
-def reference_lyapunov(kick, steps, seed, transient=100, n_init=32):
+def reference_lyapunov(kick, seed):
     """`lyapunov` as it was before the in-place kernel: unfused np.remainder
     steps and a tangent update that builds new arrays (test oracle)."""
     rng = np.random.default_rng(seed)
     half_kick = 0.5 * kick
-    start = rng.uniform(0.0, TWO_PI, (n_init, 2))
+    start = rng.uniform(0.0, TWO_PI, (N_INIT, 2))
     q, p = start[:, 0], start[:, 1]
-    for _ in range(transient):
+    for _ in range(TRANSIENT):
         q, p = unfused_step(kick, q, p)
-    v0, v1 = np.ones(n_init), np.zeros(n_init)
-    acc = np.zeros(n_init)
+    v0, v1 = np.ones(N_INIT), np.zeros(N_INIT)
+    acc = np.zeros(N_INIT)
     c2 = half_kick * np.cos(q)
-    for _ in range(steps):
+    for _ in range(STEPS):
         c1 = c2
         q, p = unfused_step(kick, q, p)
         c2 = half_kick * np.cos(q)
@@ -63,8 +63,8 @@ def reference_lyapunov(kick, steps, seed, transient=100, n_init=32):
         v0, v1 = v0 / norm, v1 / norm
     total = 0.0
     for a in acc:
-        total += a / steps
-    return total / n_init
+        total += a / STEPS
+    return total / N_INIT
 
 
 def all_at_once_reversal(cfg):
@@ -400,7 +400,7 @@ class TestBatchedRows:
                    make_config(map=ReversibleMap(0.3), perturbed_kick=0.31, steps=5,
                                samples=200, seed=1)]
         want = [reversal_probability(
-            cfg, lyapunov(cfg.map, seed=reversal._lyapunov_seed(cfg.seed))) for cfg in configs]
+            cfg, lyapunov(cfg.map, reversal._lyapunov_seed(cfg.seed))) for cfg in configs]
         passes = []
         rows = reversal.lyapunov_rows
 
@@ -455,41 +455,35 @@ class TestRunCaps:
 
 class TestLyapunov:
     def test_integrable_limit(self):
-        assert abs(lyapunov(ReversibleMap(0.0), steps=2000, seed=3)) < 0.01
+        assert abs(lyapunov(ReversibleMap(0.0), seed=3)) < 0.01
 
     def test_strong_chaos_matches_large_kick_asymptote(self):
         # large-kick growth rate of the kicked rotor approaches ln(K/2)
-        lam6 = lyapunov(ReversibleMap(6.0), steps=3000, seed=5)
+        lam6 = lyapunov(ReversibleMap(6.0), seed=5)
         assert lam6 == pytest.approx(np.log(3.0), abs=0.15)
-        lam10 = lyapunov(ReversibleMap(10.0), steps=3000, seed=5)
+        lam10 = lyapunov(ReversibleMap(10.0), seed=5)
         assert lam10 == pytest.approx(np.log(5.0), abs=0.10)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_int_seed_equals_its_seed_sequence(self, seed):
         m = ReversibleMap(6.0)
-        assert (lyapunov(m, steps=1000, seed=seed)
-                == lyapunov(m, steps=1000, seed=np.random.SeedSequence(entropy=seed)))
+        assert lyapunov(m, seed) == lyapunov(m, np.random.SeedSequence(entropy=seed))
 
     @pytest.mark.parametrize("kick", [0.3, 6.0, 14.0])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_reference_loop(self, kick, seed):
         # the in-place kernel and tangent update must not move a bit
-        assert lyapunov(ReversibleMap(kick), steps=1000, seed=seed) == \
-            reference_lyapunov(kick, 1000, seed)
+        assert lyapunov(ReversibleMap(kick), seed) == reference_lyapunov(kick, seed)
 
     @pytest.mark.parametrize("kick", [0.3, 6.0, 14.0])
     def test_stacked_rows_equal_reference_loop(self, kick):
         # stacking rows must not move a bit of any row's estimate, in any order
         # and with a seed repeated
-        want = {seed: reference_lyapunov(kick, 1000, seed).hex() for seed in (0, 7, 11)}
+        want = {seed: reference_lyapunov(kick, seed).hex() for seed in (0, 7, 11)}
         seeds = [0, 7, 11, 7]
         for order in (seeds, seeds[::-1]):
-            got = lyapunov_rows(ReversibleMap(kick), order, steps=1000)
+            got = lyapunov_rows(ReversibleMap(kick), order)
             assert [lam.hex() for lam in got] == [want[seed] for seed in order]
-
-    def test_minimum_effort_enforced(self):
-        with pytest.raises(ValueError):
-            lyapunov(ReversibleMap(6.0), steps=100)
 
 
 class TestBound:

@@ -21,8 +21,7 @@ SPIN = SpinSystem(1)
 def hamiltonian(eigenvalues=None):
     if eigenvalues is None:
         eigenvalues = np.array([0.0, 1.0, 2.0])
-    return SpectralHamiltonian(sys=SPIN, eigenbasis=OperatorMatrix(np.eye(3), kind="unitary"),
-                               eigenvalues=eigenvalues)
+    return SpectralHamiltonian(sys=SPIN, eigenvalues=eigenvalues)
 
 
 def perturbation(base):
