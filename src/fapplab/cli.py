@@ -266,8 +266,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for interface compatibility; execution is "
-                             "sequential and results never depend on it")
+                        help="accepted for interface compatibility and echoed in the "
+                             "output; the Monte-Carlo loops use every CPU in the "
+                             "process's affinity set (which taskset restricts), and "
+                             "results depend on neither")
     args = parser.parse_args(argv)
 
     try:

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError
+from .parallel import part_bounds, run_parts
 from .qcore import StateVector, owned
-from .spincoarse import (MAX_ENSEMBLE, SphereGrid, SpinSystem, _mixture_q, _node_overlaps,
-                         q_function_pure)
+from .spincoarse import (MAX_ENSEMBLE, SphereGrid, SpinSystem, _chunk_states,
+                         _coherent_magnitudes, _mixture_q, _node_overlaps, q_function_pure)
 
 SIGMA_BYPASS = 1e-15  # below this the ensemble collapses onto its means exactly
 SIGMA_SPACING_FACTOR = 0.2  # "spread well below the level spacing", made operational
@@ -146,7 +147,9 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     Q-function is `averaged_q_formula`. Member states are pure phase profiles
     e^{iVt} * psi on the Dicke amplitudes; for each time the whole ensemble
     goes through the separable Q evaluation in chunks, one Bhattacharyya value
-    per member, reduced in place in the chunk's scratch overlaps. When every
+    per member, reduced in place in the chunk's scratch overlaps. Contiguous
+    parts of the ensemble run side by side (`parallel.run_parts`), sharing the
+    chunk budget; a member's value does not depend on its chunk. When every
     member equals the first, as at t = 0 or with sigma below SIGMA_BYPASS, one
     member is evaluated and its value copied to all.
     """
@@ -164,16 +167,26 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     norm = (2 * sys.j + 1) / (4 * np.pi)
     values = np.array([pert.draw_values(member) for member in range(ensemble_size)])
 
+    # no more parts than states fit in the chunk budget, which the parts share
+    per_chunk = max(1, _chunk_states(grid))
     overlaps = np.empty((ensemble_size, times.size))
     for it, t in enumerate(times):
         members = np.exp(1j * values * t) * psi.amplitudes
         # all members are one state at t = 0, and at every t when sigma < SIGMA_BYPASS
         same = bool(np.all(members == members[0]))
-        for chunk, q_after in _node_overlaps(sys, grid, members[:1] if same else members):
-            q_after *= norm
-            np.sqrt(q_after, out=q_after)
-            q_after *= weighted_before
-            overlaps[chunk, it] = np.sum(q_after, axis=1)
+        if same:
+            members = members[:1]
+        bounds = part_bounds(len(members), per_chunk, per_chunk)
+
+        def reduce_members(lo: int, hi: int) -> None:
+            rows = overlaps[lo:hi, it]
+            for chunk, q_after in _node_overlaps(sys, grid, members[lo:hi], len(bounds) - 1):
+                q_after *= norm
+                np.sqrt(q_after, out=q_after)
+                q_after *= weighted_before
+                rows[chunk] = np.sum(q_after, axis=1)
+
+        run_parts(reduce_members, bounds)
         if same:
             overlaps[1:, it] = overlaps[0, it]
     np.clip(overlaps, 0.0, 1.0, out=overlaps)
@@ -201,5 +214,8 @@ def averaged_q_formula(psi: StateVector, h0: SpectralHamiltonian, pert: Gaussian
     damping = np.exp(-(pert.sigma * t) ** 2 / 2.0)
     phi = np.exp(1j * pert.means * t) * psi.amplitudes
     coherent_part = _mixture_q(sys, grid, np.ones(1), phi[None, :])
-    dephased_part = _mixture_q(sys, grid, np.abs(psi.amplitudes) ** 2, np.eye(sys.dim))
+    # |<Omega|m>|^2 does not depend on phi: one contraction per theta-row
+    magnitudes = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
+    dephased_rows = magnitudes ** 2 @ np.abs(psi.amplitudes) ** 2
+    dephased_part = (2 * sys.j + 1) / (4 * np.pi) * np.repeat(dephased_rows, grid.n_phi)
     return damping * coherent_part + (1.0 - damping) * dephased_part

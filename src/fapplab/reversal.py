@@ -20,24 +20,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import part_bounds, run_parts
 from .qcore import owned
 
 TWO_PI = 2.0 * np.pi
 
-#: samples per Monte-Carlo block: two 128 KB coordinate arrays and their
-#: small temporaries stay in L2 across all map steps of a block
+#: samples per Monte-Carlo block: a part's two 128 KB coordinate arrays, its
+#: kick and its temporaries (0.7 MiB in all) stay in its core's L2 across all
+#: map steps of a block
 _CHUNK = 16384
-#: most Monte-Carlo samples per row: the default t_values take ~3.5 us per sample
-#: over their three rows (2 cores), so 6 minutes at the cap
+#: most parts a row's samples run in side by side: a part holding one chunk
+#: peaks at 0.7 MiB under tracemalloc (coordinates, kick, wrap and cell-test
+#: temporaries), so 4 parts stay at 2.6 MiB, inside the 4 MiB that a 1e6-sample
+#: row may take (7 parts would not)
+MAX_PARTS = 4
+#: most Monte-Carlo samples per row: the default t_values take ~1.5 us per sample
+#: over their three rows on 2 CPUs (~2.6 us on one), so 2.5 minutes at the cap
 MAX_SAMPLES = 10**8
 #: most sample-steps per row: a MAX_SAMPLES row at the default t = 15, stepped
-#: forward and back at ~48 ns per sample-step: 1e8 x 15 x 2 x 48 ns = 2.4 min
+#: forward and back at ~23 ns per sample-step on 2 CPUs (~40 ns on one):
+#: 1e8 x 15 x 2 x 23 ns = 1.2 min
 MAX_SAMPLE_STEPS = 15 * MAX_SAMPLES
 #: most sample-steps per run, a row at t = 0 counting as t = 1 (its draws and tests
-#: cost ~90 ns per sample): the default t_values at MAX_SAMPLES, 3e9 x 2 x 48 ns = 4.8 min
+#: cost ~64 ns per sample on 2 CPUs): the default t_values at MAX_SAMPLES,
+#: 3e9 x 2 x 23 ns = 2.3 min
 MAX_RUN_SAMPLE_STEPS = 2 * MAX_SAMPLE_STEPS
-#: most rows per run: the stacked Lyapunov pass costs ~140 ns per point-step
-#: (2 cores), so 1000 rows x 32 points x 4100 steps take ~18 s
+#: most rows per run: the stacked Lyapunov pass runs on one CPU at ~130 ns per
+#: point-step, so 1000 rows x 32 points x 4100 steps take ~17 s
 MAX_ROWS = 1000
 #: Lyapunov estimate: map steps before the tangent loop, tangent-map steps, and
 #: points averaged over
@@ -124,24 +133,26 @@ class ReversibleMap:
 
     def evolve_arrays(self, q, p, steps: int):
         """`steps` map steps on coordinate arrays (the vectorized Monte-Carlo
-        core); returns new arrays and leaves q and p untouched.
+        core); returns new arrays and leaves q and p untouched."""
+        q, p = (np.array(a, dtype=float) for a in np.broadcast_arrays(q, p))
+        self._step(q.reshape(-1), p.reshape(-1), steps)  # views, so 0-d inputs step too
+        return q, p
 
-        The copies are stepped in place by one `_advance` call; streaming
-        callers such as `reversal_probability` pass one `_CHUNK` at a time.
+    def _step(self, q, p, steps: int) -> None:
+        """`steps` map steps on 1-d float arrays q and p, in place, by one
+        `_advance` call; `reversal_probability` steps its chunks this way.
+
         While every wrapped value lies in [-2pi, 4pi], `_wrap` gives the bits of
         np.remainder: that holds for non-empty inputs in [0, 2pi] and K < 4pi,
         since then |kick| <= K/2 < 2pi and q + p <= 4pi. Any other input
         (NaN, out of range, strong kicks) takes np.remainder itself.
         """
-        q, p = (np.array(a, dtype=float) for a in np.broadcast_arrays(q, p))
         half_kick = 0.5 * self.kick_strength
         wrap = _remainder
         if (q.size and self.kick_strength < 2 * TWO_PI
                 and all(a.min() >= 0 and a.max() <= TWO_PI for a in (q, p))):
             wrap = _wrap
-        flat_q, flat_p = q.reshape(-1), p.reshape(-1)  # views, so 0-d inputs step too
-        _advance(flat_q, flat_p, _half_kick(flat_q, half_kick), steps, half_kick, wrap)
-        return q, p
+        _advance(q, p, _half_kick(q, half_kick), steps, half_kick, wrap)
 
 
 @dataclass(frozen=True)
@@ -226,28 +237,37 @@ def reversal_probability(cfg: ReversalConfig, lyapunov_estimate: float) -> Rever
     reverse flow the return is exact by the involution identity.
 
     The samples go through the protocol one `_CHUNK` at a time, so memory
-    stays O(chunk) for any sample count. The draws are those of one
-    `region.sample(rng, rng, samples)`: q from the row's generator, and p from
-    a second one on the same seed advanced past the q draws, as each uniform
-    double takes one 64-bit output. `lyapunov_estimate` is the exponent of
-    `cfg.map` at the row's seed, as `reversal_probabilities` computes it for
-    many rows at once.
+    stays O(chunk) for any sample count, in up to MAX_PARTS balanced parts of
+    the sample range run side by side (`parallel.run_parts`). The draws are
+    those of one `region.sample(rng, rng, samples)`: each part takes its q from
+    a generator on the row's seed advanced to the part's first sample, and its
+    p from one advanced past all q draws as well, as each uniform double takes
+    one 64-bit output. Every sample thus meets the same draws and steps at any
+    part count, and the integer hit counts add up exactly. `lyapunov_estimate`
+    is the exponent of `cfg.map` at the row's seed, as
+    `reversal_probabilities` computes it for many rows at once.
     """
     seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
-    q_rng = np.random.default_rng(seed)
-    p_bits = np.random.PCG64(seed)
-    p_bits.advance(cfg.samples)
-    p_rng = np.random.Generator(p_bits)
     perturbed = ReversibleMap(cfg.perturbed_kick)
-    hits = 0
-    for start in range(0, cfg.samples, _CHUNK):
-        q, p = cfg.region.sample(q_rng, p_rng, min(_CHUNK, cfg.samples - start))
-        q, p = cfg.map.evolve_arrays(q, p, cfg.steps)
-        _flip(p)
-        q, p = perturbed.evolve_arrays(q, p, cfg.steps)
-        _flip(p)
-        hits += int(np.count_nonzero(cfg.region.contains(q, p)))
-    prob = hits / cfg.samples
+    part_hits = []
+
+    def count_hits(lo: int, hi: int) -> None:
+        q_bits, p_bits = np.random.PCG64(seed), np.random.PCG64(seed)
+        q_bits.advance(lo)
+        p_bits.advance(cfg.samples + lo)
+        q_rng, p_rng = np.random.Generator(q_bits), np.random.Generator(p_bits)
+        hits = 0
+        for start in range(lo, hi, _CHUNK):
+            q, p = cfg.region.sample(q_rng, p_rng, min(_CHUNK, hi - start))
+            cfg.map._step(q, p, cfg.steps)
+            _flip(p)
+            perturbed._step(q, p, cfg.steps)
+            _flip(p)
+            hits += int(np.count_nonzero(cfg.region.contains(q, p)))
+        part_hits.append(hits)
+
+    run_parts(count_hits, part_bounds(cfg.samples, _CHUNK, MAX_PARTS))
+    prob = sum(part_hits) / cfg.samples
     std_error = float(np.sqrt(prob * (1 - prob) / cfg.samples))
     return ReversalResult(probability=prob, std_error=std_error,
                           lyapunov_estimate=lyapunov_estimate,

@@ -220,7 +220,13 @@ def _check_order(sys: SpinSystem, grid: SphereGrid):
             f"grid exactness order {grid.exactness_order} below the spin band limit {band}")
 
 
-def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray):
+def _chunk_states(grid: SphereGrid) -> int:
+    """States whose complex node overlaps fit in OVERLAP_CHUNK_BYTES; 0 on
+    grids where one state's alone exceed it."""
+    return OVERLAP_CHUNK_BYTES // (16 * grid.size)
+
+
+def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, parts: int):
     """|<Omega|psi_k>|^2 at every grid node for each row psi_k of `states`.
 
     On the product grid <Omega|psi> = e^{-ij phi} sum_m d_m(theta) psi_m
@@ -228,8 +234,9 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray):
     is one length-n_phi inverse DFT of d(theta) * psi, and the phase
     e^{-ij phi} drops out of |.|^2 (Driscoll & Healy, Adv. Appl. Math. 15,
     1994). Yields (slice of `states`, overlaps of shape (rows, nodes)) for
-    consecutive chunks of as many states as fit in OVERLAP_CHUNK_BYTES of
-    complex overlaps, at least one.
+    consecutive chunks of as many states as fit in OVERLAP_CHUNK_BYTES / parts
+    of complex overlaps, at least one: `parts` callers running side by side
+    share the budget.
 
     One zero-padded complex buffer and one real buffer serve every chunk: the
     yielded overlaps are scratch space that the next chunk overwrites, so a
@@ -242,7 +249,7 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray):
     # truncate the m-sum instead of raising
     _check_order(sys, grid)
     table = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
-    step = max(1, min(len(states), OVERLAP_CHUNK_BYTES // (16 * grid.size)))
+    step = max(1, min(len(states), _chunk_states(grid) // parts))
     padded = np.zeros((step, grid.n_theta, grid.n_phi), dtype=complex)
     overlaps = np.empty((step, grid.size))
     for start in range(0, len(states), step):
@@ -260,7 +267,7 @@ def _mixture_q(sys: SpinSystem, grid: SphereGrid, weights: np.ndarray,
                states: np.ndarray) -> np.ndarray:
     """(2j+1)/(4pi) sum_k weights_k |<Omega|psi_k>|^2 at every grid node."""
     total = sum(weights[chunk] @ overlaps
-                for chunk, overlaps in _node_overlaps(sys, grid, states))
+                for chunk, overlaps in _node_overlaps(sys, grid, states, 1))
     return (2 * sys.j + 1) / (4 * pi) * total
 
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fapplab import echo as echo_mod
-from fapplab import spincoarse
+from fapplab import parallel, spincoarse
 from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, StateVector
 from fapplab.spincoarse import (SolidAngle, SphereGrid, SpinSystem,
@@ -306,20 +306,32 @@ class TestEchoBuffers:
         assert np.array_equal(curve.mean_overlap, mean)
         assert np.array_equal(curve.std_error, std_error)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_any_cpu_count_matches_reference_loop_bits(self, setup, cpus, monkeypatch):
+        # 100 members: 3 parts of 33 or 34 with 16 states a chunk, 8 parts of
+        # 12 or 13 with 6 a chunk, so most parts end on a ragged chunk
+        monkeypatch.setattr(parallel, "CPUS", cpus)
+        curve = echo_experiment(*setup)
+        mean, std_error = reference_echo(*setup)
+        assert np.array_equal(curve.mean_overlap, mean)
+        assert np.array_equal(curve.std_error, std_error)
+
     def test_one_member_evaluated_when_all_are_equal(self, setup, monkeypatch):
         rows = []
 
-        def counting(sys_, grid, states):
+        def counting(sys_, grid, states, parts):
             rows.append(len(states))
-            return spincoarse._node_overlaps(sys_, grid, states)
+            return spincoarse._node_overlaps(sys_, grid, states, parts)
 
+        # one part, so the whole ensemble of a time is one call
+        monkeypatch.setattr(parallel, "CPUS", 1)
         monkeypatch.setattr(echo_mod, "_node_overlaps", counting)
         psi, h0, pert, times, ensemble, sys_, grid = setup
         echo_experiment(*setup)
         bypass = pert.sigma < echo_mod.SIGMA_BYPASS
         assert rows == [1 if (t == 0.0 or bypass) else ensemble for t in times]
 
-    def test_memory_peak_bounded_by_chunk_budget(self):
+    def test_memory_peak_bounded_by_chunk_budget(self, monkeypatch):
         # j = 50, 300 members: the two chunk buffers (complex overlaps and
         # their real |.|^2) plus a few member-sized arrays; a kernel that
         # allocates its 8 MiB chunks afresh peaks near 29 MiB here
@@ -332,14 +344,17 @@ class TestEchoBuffers:
         times = np.array([0.0, 1 / sigma, 2 / sigma, 4 / sigma])
         ensemble = 300
         members_bytes = ensemble * sys_.dim * 16
-        tracemalloc.start()
-        try:
-            echo_experiment(psi, h0, pert, times, ensemble, sys_, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         bound = 2 * spincoarse.OVERLAP_CHUNK_BYTES + 6 * members_bytes
-        assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+        for cpus in range(1, 9):  # the parts share the chunk budget
+            monkeypatch.setattr(parallel, "CPUS", cpus)
+            tracemalloc.start()
+            try:
+                echo_experiment(psi, h0, pert, times, ensemble, sys_, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (f"{cpus} CPUs: peak {peak / 2**20:.2f} MiB, "
+                                  f"bound {bound / 2**20:.2f} MiB")
 
 
 class TestAveragedQFormula:

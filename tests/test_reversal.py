@@ -1,9 +1,10 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fapplab import reversal
+from fapplab import parallel, reversal
 from fapplab.reversal import (_CHUNK, MAX_ROWS, MAX_RUN_SAMPLE_STEPS, MAX_SAMPLE_STEPS,
                               MAX_SAMPLES, N_INIT, STEPS, TRANSIENT, TWO_PI, CellRegion,
                               PhasePoint, ReversalConfig, ReversibleMap, _wrap, bound,
@@ -351,13 +352,15 @@ class TestStreamedMonteCarlo:
         cfg = make_config(perturbed_kick=6.01, steps=2, samples=samples)
         want_inputs, prob, std_error = all_at_once_reversal(cfg)
         inputs = []
-        evolve = ReversibleMap.evolve_arrays
+        step = ReversibleMap._step
 
-        def recording_evolve(self, q, p, steps):
+        def recording_step(self, q, p, steps):
             inputs.append((q.copy(), p.copy()))
-            return evolve(self, q, p, steps)
+            step(self, q, p, steps)
 
-        monkeypatch.setattr(ReversibleMap, "evolve_arrays", recording_evolve)
+        # one part, so the chunks are stepped in sample order
+        monkeypatch.setattr(parallel, "CPUS", 1)
+        monkeypatch.setattr(ReversibleMap, "_step", recording_step)
         got = reversal_probability(cfg, lyapunov_estimate=1.0)
         assert 0 < prob < 1  # the count is neither empty nor full
         # each chunk is stepped forward, flipped and stepped by the perturbed map
@@ -370,16 +373,45 @@ class TestStreamedMonteCarlo:
         assert got.probability.hex() == prob.hex()
         assert got.std_error.hex() == std_error.hex()
 
-    def test_memory_is_bounded_by_chunks(self):
-        # 1e6 samples held at once took 38 MiB
+    def test_memory_is_bounded_by_chunks(self, monkeypatch):
+        # 1e6 samples held at once took 38 MiB; each part holds one chunk
         cfg = make_config(perturbed_kick=6.01, steps=1, samples=1_000_000)
-        tracemalloc.start()
+        for cpus in range(1, 9):
+            monkeypatch.setattr(parallel, "CPUS", cpus)
+            tracemalloc.start()
+            try:
+                reversal_probabilities([cfg])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2**20, f"{cpus} CPUs: peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_any_cpu_count_equals_all_at_once_route(self, monkeypatch, cpus):
+        # 3 chunks + 7 samples: at 1 CPU the last chunk holds 7 samples, at 3
+        # the parts end on chunks of 2 or 3, and at 8 (capped at MAX_PARTS = 4)
+        # each part is one short chunk of 12289 or 12290 samples
+        cfg = make_config(perturbed_kick=6.01, steps=2, samples=3 * _CHUNK + 7)
+        _, prob, std_error = all_at_once_reversal(cfg)
+        monkeypatch.setattr(parallel, "CPUS", cpus)
+        (got,) = reversal_probabilities([cfg])
+        assert got.probability.hex() == prob.hex()
+        assert got.std_error.hex() == std_error.hex()
+
+    def test_no_part_count_lost_under_frequent_switches(self, monkeypatch):
+        # 8 parts on fewer cores, switching threads every microsecond: a lost
+        # or doubled per-part count would move the probability
+        cfg = make_config(perturbed_kick=6.01, steps=2, samples=8 * _CHUNK + 3)
+        _, prob, _ = all_at_once_reversal(cfg)
+        monkeypatch.setattr(parallel, "CPUS", 8)
+        monkeypatch.setattr(reversal, "MAX_PARTS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            reversal_probabilities([cfg])
-            peak = tracemalloc.get_traced_memory()[1]
+            got = reversal_probability(cfg, lyapunov_estimate=1.0)
         finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2**20
+            sys.setswitchinterval(interval)
+        assert got.probability.hex() == prob.hex()
 
     def test_one_sample_stream_for_one_generator(self):
         # passing one generator twice draws all q, then all p from it

@@ -328,13 +328,13 @@ class TestOverlapBuffers:
     def test_overlaps_match_reference_bits(self, budget, states, monkeypatch):
         nbytes = self.BUDGETS[budget]
         monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", nbytes)
-        got = self.collect(_node_overlaps(self.SYS, self.GRID, states),
+        got = self.collect(_node_overlaps(self.SYS, self.GRID, states, 1),
                            self.STATES, self.GRID.size)
         want = self.collect(reference_node_overlaps(self.SYS, self.GRID, states, nbytes),
                             self.STATES, self.GRID.size)
         assert np.array_equal(got, want)
         assert np.array_equal(got, self.collect(
-            reference_node_overlaps(self.SYS, self.GRID, states),
+            reference_node_overlaps(self.SYS, self.GRID, states, 1),
             self.STATES, self.GRID.size))
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
@@ -351,7 +351,7 @@ class TestOverlapBuffers:
 
     def test_chunks_cover_every_state_once(self, states, monkeypatch):
         monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", self.BUDGETS["ragged"])
-        chunks = [chunk for chunk, _ in _node_overlaps(self.SYS, self.GRID, states)]
+        chunks = [chunk for chunk, _ in _node_overlaps(self.SYS, self.GRID, states, 1)]
         assert [len(range(self.STATES)[c]) for c in chunks] == [5] * 7 + [2]
 
 
