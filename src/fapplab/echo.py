@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError
-from .parallel import part_bounds, run_parts
+from .parallel import run_shared, workers
 from .qcore import StateVector, owned
-from .spincoarse import (MAX_ENSEMBLE, SphereGrid, SpinSystem, _chunk_states,
-                         _coherent_magnitudes, _mixture_q, _node_overlaps, q_function_pure)
+from .spincoarse import (MAX_ENSEMBLE, SphereGrid, SpinSystem, _chunk_rows, _chunk_states,
+                         _coherent_magnitudes, _mixture_q, _overlap_chunks, q_function_pure)
 
 SIGMA_BYPASS = 1e-15  # below this the ensemble collapses onto its means exactly
 SIGMA_SPACING_FACTOR = 0.2  # "spread well below the level spacing", made operational
@@ -147,9 +147,10 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     Q-function is `averaged_q_formula`. Member states are pure phase profiles
     e^{iVt} * psi on the Dicke amplitudes; for each time the whole ensemble
     goes through the separable Q evaluation in chunks, one Bhattacharyya value
-    per member, reduced in place in the chunk's scratch overlaps. Contiguous
-    parts of the ensemble run side by side (`parallel.run_parts`), sharing the
-    chunk budget; a member's value does not depend on its chunk. When every
+    per member, reduced in place in the chunk's scratch overlaps. The chunks
+    run on threads side by side that share the chunk budget, each taking the
+    next chunk when it is ready for one (`parallel.run_shared`); a member's
+    value does not depend on its chunk or its thread. When every
     member equals the first, as at t = 0 or with sigma below SIGMA_BYPASS, one
     member is evaluated and its value copied to all.
     """
@@ -167,7 +168,7 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     norm = (2 * sys.j + 1) / (4 * np.pi)
     values = np.array([pert.draw_values(member) for member in range(ensemble_size)])
 
-    # no more parts than states fit in the chunk budget, which the parts share
+    # no more threads than states fit in the chunk budget, which the threads share
     per_chunk = max(1, _chunk_states(grid))
     overlaps = np.empty((ensemble_size, times.size))
     for it, t in enumerate(times):
@@ -176,17 +177,17 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
         same = bool(np.all(members == members[0]))
         if same:
             members = members[:1]
-        bounds = part_bounds(len(members), per_chunk, per_chunk)
+        threads = workers(len(members), per_chunk)
+        step = _chunk_rows(grid, len(members), threads)
 
-        def reduce_members(lo: int, hi: int) -> None:
-            rows = overlaps[lo:hi, it]
-            for chunk, q_after in _node_overlaps(sys, grid, members[lo:hi], len(bounds) - 1):
+        def reduce_members(starts) -> None:
+            for chunk, q_after in _overlap_chunks(sys, grid, members, step, starts):
                 q_after *= norm
                 np.sqrt(q_after, out=q_after)
                 q_after *= weighted_before
-                rows[chunk] = np.sum(q_after, axis=1)
+                overlaps[chunk, it] = np.sum(q_after, axis=1)
 
-        run_parts(reduce_members, bounds)
+        run_shared(reduce_members, range(0, len(members), step), threads)
         if same:
             overlaps[1:, it] = overlaps[0, it]
     np.clip(overlaps, 0.0, 1.0, out=overlaps)

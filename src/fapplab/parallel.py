@@ -1,10 +1,14 @@
-"""Contiguous parts of a Monte-Carlo range, one per CPU this process may use.
+"""Chunks of a Monte-Carlo range shared out among threads, one per CPU this
+process may use.
 
-The parts run on plain threads: the loops split here spend their time in
+The threads are plain threads: the loops split here spend their time in
 numpy calls on arrays of thousands of elements, which release the
-interpreter lock. Each part must compute its own results from its own
-bounds alone and write them to places no other part writes, so that the
-output does not depend on how many parts there were.
+interpreter lock. No thread is given a fixed part of the range. Each takes
+the next unclaimed chunk when it is ready for one, so a thread whose CPU is
+busy with other work takes fewer chunks instead of holding the others up at
+the end. Each chunk's results must therefore depend on its own bounds alone
+and go to places no other chunk writes, so that the output does not depend
+on which thread took which chunk, nor on how many threads there were.
 """
 
 from __future__ import annotations
@@ -13,41 +17,68 @@ import os
 import threading
 
 #: CPUs in this process's affinity set (which `taskset` restricts), or all of
-#: the machine's where the platform has no affinity call; `part_bounds` makes
-#: at most one part per CPU
+#: the machine's where the platform has no affinity call; `run_shared` starts
+#: at most one thread per CPU
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def part_bounds(n: int, chunk: int, most: int) -> list:
-    """Bounds b of balanced contiguous parts [b[i], b[i+1]) of range(n).
+class _Shared:
+    """One iterator over `items` for many threads: each item is handed out
+    once, in order, and none after `close`."""
 
-    There is one part per CPU, but at most `most` and no more than there are
-    `chunk`-sized pieces of n, so a range of one chunk or less stays whole.
+    def __init__(self, items):
+        self._items = iter(items)
+        self._lock = threading.Lock()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        with self._lock:
+            return next(self._items)
+
+    def close(self) -> None:
+        with self._lock:
+            self._items = iter(())
+
+
+def workers(items: int, most: int) -> int:
+    """Threads `run_shared` uses for `items` items: one per CPU, but at most
+    `most` and no more than there are items, so one item runs on the caller
+    alone."""
+    return max(1, min(CPUS, most, items))
+
+
+def run_shared(work, items, most: int) -> None:
+    """work(shared) on `workers(len(items), most)` threads side by side, the
+    calling thread one of them, every call given the same iterator `shared`
+    over `items`: a call loops over it and so takes the next unclaimed item
+    whenever it is ready for one.
+
+    Returns once every call has ended. If one raised, the items not yet taken
+    are dropped, and the exception of the first call that raised (the
+    caller's counting first, then the threads in the order they started) is
+    re-raised.
     """
-    parts = max(1, min(CPUS, most, -(-n // chunk)))
-    return [n * i // parts for i in range(parts + 1)]
+    shared = _Shared(items)
+    count = workers(len(items), most)
+    errors = [None] * count
 
-
-def run_parts(fn, bounds) -> None:
-    """fn(lo, hi) for every part of `bounds`: the first on the calling thread,
-    each other on a thread of its own. Returns once every part has ended, and
-    then re-raises the exception of the first part that raised one."""
-    errors = {}
-
-    def part(lo, hi):
+    def run(index: int) -> None:
         try:
-            fn(lo, hi)
+            work(shared)
         except BaseException as exc:  # re-raised in the caller below
-            errors[lo] = exc
+            errors[index] = exc
+            shared.close()
 
-    threads = [threading.Thread(target=part, args=pair) for pair in zip(bounds[1:-1], bounds[2:])]
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(1, count)]
     for thread in threads:
         thread.start()
     try:
-        fn(bounds[0], bounds[1])
+        run(0)
     finally:
         for thread in threads:
             thread.join()
-    for lo in bounds[1:-1]:
-        if lo in errors:
-            raise errors[lo]
+    for exc in errors:
+        if exc is not None:
+            raise exc

@@ -20,20 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import part_bounds, run_parts
+from .parallel import run_shared
 from .qcore import owned
 
 TWO_PI = 2.0 * np.pi
 
-#: samples per Monte-Carlo block: a part's two 128 KB coordinate arrays, its
+#: samples per Monte-Carlo block: a thread's two 128 KB coordinate arrays, its
 #: kick and its temporaries (0.7 MiB in all) stay in its core's L2 across all
 #: map steps of a block
 _CHUNK = 16384
-#: most parts a row's samples run in side by side: a part holding one chunk
+#: most threads a row's chunks run on side by side: a thread holding one chunk
 #: peaks at 0.7 MiB under tracemalloc (coordinates, kick, wrap and cell-test
-#: temporaries), so 4 parts stay at 2.6 MiB, inside the 4 MiB that a 1e6-sample
-#: row may take (7 parts would not)
-MAX_PARTS = 4
+#: temporaries), so 4 threads stay at 2.6 MiB, inside the 4 MiB that a
+#: 1e6-sample row may take (7 threads would not)
+MAX_THREADS = 4
 #: most Monte-Carlo samples per row: the default t_values take ~1.5 us per sample
 #: over their three rows on 2 CPUs (~2.6 us on one), so 2.5 minutes at the cap
 MAX_SAMPLES = 10**8
@@ -237,37 +237,40 @@ def reversal_probability(cfg: ReversalConfig, lyapunov_estimate: float) -> Rever
     reverse flow the return is exact by the involution identity.
 
     The samples go through the protocol one `_CHUNK` at a time, so memory
-    stays O(chunk) for any sample count, in up to MAX_PARTS balanced parts of
-    the sample range run side by side (`parallel.run_parts`). The draws are
-    those of one `region.sample(rng, rng, samples)`: each part takes its q from
-    a generator on the row's seed advanced to the part's first sample, and its
-    p from one advanced past all q draws as well, as each uniform double takes
-    one 64-bit output. Every sample thus meets the same draws and steps at any
-    part count, and the integer hit counts add up exactly. `lyapunov_estimate`
-    is the exponent of `cfg.map` at the row's seed, as
+    stays O(chunk) per thread for any sample count, on up to MAX_THREADS threads
+    that each take the next chunk when they are ready for one
+    (`parallel.run_shared`). The draws are those of one
+    `region.sample(rng, rng, samples)`: a thread takes its q from a generator
+    on the row's seed advanced to its chunk's first sample, and its p from one
+    advanced past all q draws as well, as each uniform double takes one 64-bit
+    output. Every sample thus meets the same draws and steps whichever thread
+    takes its chunk, and the integer hit counts add up exactly.
+    `lyapunov_estimate` is the exponent of `cfg.map` at the row's seed, as
     `reversal_probabilities` computes it for many rows at once.
     """
     seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
     perturbed = ReversibleMap(cfg.perturbed_kick)
-    part_hits = []
+    thread_hits = []
 
-    def count_hits(lo: int, hi: int) -> None:
+    def count_hits(starts) -> None:
         q_bits, p_bits = np.random.PCG64(seed), np.random.PCG64(seed)
-        q_bits.advance(lo)
-        p_bits.advance(cfg.samples + lo)
+        p_bits.advance(cfg.samples)
         q_rng, p_rng = np.random.Generator(q_bits), np.random.Generator(p_bits)
-        hits = 0
-        for start in range(lo, hi, _CHUNK):
-            q, p = cfg.region.sample(q_rng, p_rng, min(_CHUNK, hi - start))
+        drawn = hits = 0  # samples the generators have been advanced past
+        for start in starts:
+            q_bits.advance(start - drawn)
+            p_bits.advance(start - drawn)
+            drawn = min(start + _CHUNK, cfg.samples)
+            q, p = cfg.region.sample(q_rng, p_rng, drawn - start)
             cfg.map._step(q, p, cfg.steps)
             _flip(p)
             perturbed._step(q, p, cfg.steps)
             _flip(p)
             hits += int(np.count_nonzero(cfg.region.contains(q, p)))
-        part_hits.append(hits)
+        thread_hits.append(hits)
 
-    run_parts(count_hits, part_bounds(cfg.samples, _CHUNK, MAX_PARTS))
-    prob = sum(part_hits) / cfg.samples
+    run_shared(count_hits, range(0, cfg.samples, _CHUNK), MAX_THREADS)
+    prob = sum(thread_hits) / cfg.samples
     std_error = float(np.sqrt(prob * (1 - prob) / cfg.samples))
     return ReversalResult(probability=prob, std_error=std_error,
                           lyapunov_estimate=lyapunov_estimate,

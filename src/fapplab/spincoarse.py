@@ -226,6 +226,12 @@ def _chunk_states(grid: SphereGrid) -> int:
     return OVERLAP_CHUNK_BYTES // (16 * grid.size)
 
 
+def _chunk_rows(grid: SphereGrid, states: int, parts: int) -> int:
+    """States per `_node_overlaps` chunk: as many of `states` as fit in
+    OVERLAP_CHUNK_BYTES / parts of complex overlaps, at least one."""
+    return max(1, min(states, _chunk_states(grid) // parts))
+
+
 def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, parts: int):
     """|<Omega|psi_k>|^2 at every grid node for each row psi_k of `states`.
 
@@ -234,9 +240,8 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, parts:
     is one length-n_phi inverse DFT of d(theta) * psi, and the phase
     e^{-ij phi} drops out of |.|^2 (Driscoll & Healy, Adv. Appl. Math. 15,
     1994). Yields (slice of `states`, overlaps of shape (rows, nodes)) for
-    consecutive chunks of as many states as fit in OVERLAP_CHUNK_BYTES / parts
-    of complex overlaps, at least one: `parts` callers running side by side
-    share the budget.
+    consecutive chunks of `_chunk_rows(grid, len(states), parts)` states:
+    `parts` callers running side by side share the budget.
 
     One zero-padded complex buffer and one real buffer serve every chunk: the
     yielded overlaps are scratch space that the next chunk overwrites, so a
@@ -245,14 +250,22 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, parts:
     `==` loses nothing: +0 and -0 compare equal, and the sign of a zero
     cannot change |<Omega|psi>|^2.
     """
+    step = _chunk_rows(grid, len(states), parts)
+    return _overlap_chunks(sys, grid, states, step, range(0, len(states), step))
+
+
+def _overlap_chunks(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, step: int,
+                    starts):
+    """`_node_overlaps`' chunks of `step` rows of `states`, one for each first
+    row in `starts`: threads running side by side pass one shared iterator
+    over the first rows, each thread its own buffers."""
     # the order check guarantees n_phi >= 2j+1; below that ifft would silently
     # truncate the m-sum instead of raising
     _check_order(sys, grid)
     table = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
-    step = max(1, min(len(states), _chunk_states(grid) // parts))
     padded = np.zeros((step, grid.n_theta, grid.n_phi), dtype=complex)
     overlaps = np.empty((step, grid.size))
-    for start in range(0, len(states), step):
+    for start in starts:
         chunk = slice(start, start + step)
         block = states[chunk]
         rows, out = padded[:len(block)], overlaps[:len(block)]

@@ -308,8 +308,8 @@ class TestEchoBuffers:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_any_cpu_count_matches_reference_loop_bits(self, setup, cpus, monkeypatch):
-        # 100 members: 3 parts of 33 or 34 with 16 states a chunk, 8 parts of
-        # 12 or 13 with 6 a chunk, so most parts end on a ragged chunk
+        # 100 members: 16 states a chunk on 3 threads, so the last chunk holds
+        # 4, and 6 a chunk on 8 threads, so it holds 4 again
         monkeypatch.setattr(parallel, "CPUS", cpus)
         curve = echo_experiment(*setup)
         mean, std_error = reference_echo(*setup)
@@ -319,13 +319,13 @@ class TestEchoBuffers:
     def test_one_member_evaluated_when_all_are_equal(self, setup, monkeypatch):
         rows = []
 
-        def counting(sys_, grid, states, parts):
+        def counting(sys_, grid, states, step, starts):
             rows.append(len(states))
-            return spincoarse._node_overlaps(sys_, grid, states, parts)
+            return spincoarse._overlap_chunks(sys_, grid, states, step, starts)
 
-        # one part, so the whole ensemble of a time is one call
+        # one thread, so the whole ensemble of a time is one call
         monkeypatch.setattr(parallel, "CPUS", 1)
-        monkeypatch.setattr(echo_mod, "_node_overlaps", counting)
+        monkeypatch.setattr(echo_mod, "_overlap_chunks", counting)
         psi, h0, pert, times, ensemble, sys_, grid = setup
         echo_experiment(*setup)
         bypass = pert.sigma < echo_mod.SIGMA_BYPASS
@@ -345,7 +345,7 @@ class TestEchoBuffers:
         ensemble = 300
         members_bytes = ensemble * sys_.dim * 16
         bound = 2 * spincoarse.OVERLAP_CHUNK_BYTES + 6 * members_bytes
-        for cpus in range(1, 9):  # the parts share the chunk budget
+        for cpus in range(1, 9):  # the threads share the chunk budget
             monkeypatch.setattr(parallel, "CPUS", cpus)
             tracemalloc.start()
             try:

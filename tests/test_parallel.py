@@ -1,56 +1,106 @@
 import threading
+import time
 
 import pytest
 
 from fapplab import parallel
-from fapplab.parallel import part_bounds, run_parts
+from fapplab.parallel import run_shared, workers
 
 
-class TestPartBounds:
+class TestWorkers:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_balanced_parts_at_most_one_per_cpu(self, monkeypatch, cpus):
+    def test_at_most_one_per_cpu(self, monkeypatch, cpus):
         monkeypatch.setattr(parallel, "CPUS", cpus)
-        bounds = part_bounds(100_000, 16384, 4)
-        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        assert bounds[0] == 0 and bounds[-1] == 100_000
-        assert len(sizes) == min(cpus, 4)
-        assert max(sizes) - min(sizes) <= 1
+        assert workers(7, 4) == min(cpus, 4)
 
-    def test_no_more_parts_than_chunks(self, monkeypatch):
+    def test_no_more_workers_than_items(self, monkeypatch):
         monkeypatch.setattr(parallel, "CPUS", 8)
-        assert part_bounds(100, 100, 8) == [0, 100]
-        assert part_bounds(0, 100, 8) == [0, 0]
-        assert part_bounds(101, 100, 8) == [0, 50, 101]
+        assert workers(1, 8) == 1
+        assert workers(0, 8) == 1
+        assert workers(2, 8) == 2
 
 
-class TestRunParts:
-    def test_every_part_runs_once_all_at_the_same_time(self):
-        seen = []
-        together = threading.Barrier(3, timeout=10)  # broken if the parts ran in turn
+class TestRunShared:
+    def test_every_item_taken_once_all_workers_at_the_same_time(self, monkeypatch):
+        monkeypatch.setattr(parallel, "CPUS", 3)
+        taken = []
+        together = threading.Barrier(3, timeout=10)  # broken if the workers ran in turn
 
-        def fn(lo, hi):
-            seen.append((lo, hi, threading.get_ident()))
+        def work(shared):
             together.wait()
+            for item in shared:
+                taken.append((item, threading.get_ident()))
 
-        run_parts(fn, [0, 3, 5, 9])
-        assert sorted(lo_hi[:2] for lo_hi in seen) == [(0, 3), (3, 5), (5, 9)]
-        assert (0, 3, threading.get_ident()) in seen  # the caller takes the first
+        run_shared(work, range(50), 8)
+        assert sorted(item for item, _ in taken) == list(range(50))
+        assert len({ident for _, ident in taken}) <= 3
 
-    def test_exception_in_a_later_part_reaches_the_caller(self):
+    def test_a_slow_worker_takes_fewer_items(self, monkeypatch):
+        # the caller sleeps on each item it takes, so the other worker, not
+        # held to half of the range, takes most of them
+        monkeypatch.setattr(parallel, "CPUS", 2)
+        caller = threading.get_ident()
+        taken = {}
+
+        def work(shared):
+            for item in shared:
+                taken[item] = threading.get_ident()
+                if threading.get_ident() == caller:
+                    time.sleep(0.05)
+
+        run_shared(work, range(40), 2)
+        assert sorted(taken) == list(range(40))
+        assert sum(ident == caller for ident in taken.values()) < 10
+
+    def test_one_item_runs_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(parallel, "CPUS", 8)
+        idents = []
+        run_shared(lambda shared: idents.extend(threading.get_ident() for _ in shared),
+                   range(1), 8)
+        assert idents == [threading.get_ident()]
+
+    def test_exception_in_a_thread_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(parallel, "CPUS", 3)
+        caller = threading.get_ident()
+        together = threading.Barrier(3, timeout=10)
         ended = []
 
-        def fn(lo, hi):
-            if lo == 5:
-                raise ZeroDivisionError(f"part {lo}")
-            ended.append(lo)
+        def work(shared):
+            together.wait()
+            if threading.get_ident() != caller and not ended:
+                ended.append("raised")
+                raise ZeroDivisionError("in a thread")
+            for _ in shared:
+                time.sleep(0.001)
+            ended.append("drained")
 
-        with pytest.raises(ZeroDivisionError, match="part 5"):
-            run_parts(fn, [0, 3, 5, 9])
-        assert sorted(ended) == [0, 3]  # the other parts ended before the raise
+        with pytest.raises(ZeroDivisionError, match="in a thread"):
+            run_shared(work, range(1000), 3)
+        assert ended.count("drained") == 2  # the others ended before the raise
 
-    def test_first_failing_part_wins(self):
-        def fn(lo, hi):
-            raise ValueError(f"part {lo}")
+    def test_items_left_are_dropped_after_an_exception(self, monkeypatch):
+        monkeypatch.setattr(parallel, "CPUS", 2)
+        taken = []
 
-        with pytest.raises(ValueError, match="part 0"):
-            run_parts(fn, [0, 3, 5, 9])
+        def work(shared):
+            for item in shared:
+                taken.append(item)
+                if item == 3:
+                    raise ValueError("item 3")
+                time.sleep(0.001)
+
+        with pytest.raises(ValueError, match="item 3"):
+            run_shared(work, range(1000), 2)
+        assert len(taken) < 20
+
+    def test_the_callers_exception_wins(self, monkeypatch):
+        monkeypatch.setattr(parallel, "CPUS", 3)
+        together = threading.Barrier(3, timeout=10)
+        caller = threading.get_ident()
+
+        def work(shared):
+            together.wait()  # every worker raises
+            raise ValueError("caller" if threading.get_ident() == caller else "thread")
+
+        with pytest.raises(ValueError, match="caller"):
+            run_shared(work, range(9), 3)

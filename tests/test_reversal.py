@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -358,7 +360,7 @@ class TestStreamedMonteCarlo:
             inputs.append((q.copy(), p.copy()))
             step(self, q, p, steps)
 
-        # one part, so the chunks are stepped in sample order
+        # one thread, so the chunks are stepped in sample order
         monkeypatch.setattr(parallel, "CPUS", 1)
         monkeypatch.setattr(ReversibleMap, "_step", recording_step)
         got = reversal_probability(cfg, lyapunov_estimate=1.0)
@@ -374,7 +376,7 @@ class TestStreamedMonteCarlo:
         assert got.std_error.hex() == std_error.hex()
 
     def test_memory_is_bounded_by_chunks(self, monkeypatch):
-        # 1e6 samples held at once took 38 MiB; each part holds one chunk
+        # 1e6 samples held at once took 38 MiB; each thread holds one chunk
         cfg = make_config(perturbed_kick=6.01, steps=1, samples=1_000_000)
         for cpus in range(1, 9):
             monkeypatch.setattr(parallel, "CPUS", cpus)
@@ -388,9 +390,9 @@ class TestStreamedMonteCarlo:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_any_cpu_count_equals_all_at_once_route(self, monkeypatch, cpus):
-        # 3 chunks + 7 samples: at 1 CPU the last chunk holds 7 samples, at 3
-        # the parts end on chunks of 2 or 3, and at 8 (capped at MAX_PARTS = 4)
-        # each part is one short chunk of 12289 or 12290 samples
+        # 3 chunks + 7 samples: one thread steps all four chunks at 1 CPU, three
+        # threads share them at 3, and at 8 (capped at MAX_THREADS = 4) each
+        # thread takes one, the 7-sample chunk included
         cfg = make_config(perturbed_kick=6.01, steps=2, samples=3 * _CHUNK + 7)
         _, prob, std_error = all_at_once_reversal(cfg)
         monkeypatch.setattr(parallel, "CPUS", cpus)
@@ -398,13 +400,42 @@ class TestStreamedMonteCarlo:
         assert got.probability.hex() == prob.hex()
         assert got.std_error.hex() == std_error.hex()
 
+    def test_a_slow_thread_skips_chunks_bit_for_bit(self, monkeypatch):
+        # the two threads meet with chunks 0 and 1; the one with chunk 1 then
+        # sleeps, so the one with chunk 0 takes 2 to 6, its generators jumping
+        # over chunk 1 after they have drawn chunk 0
+        cfg = make_config(perturbed_kick=6.01, steps=2, samples=6 * _CHUNK + 5)
+        ((q0, _), _), prob, std_error = all_at_once_reversal(cfg)
+        starts = q0[::_CHUNK]
+        stepped_by = {}  # chunk index -> thread
+        meet = threading.Barrier(2, timeout=10)
+        step = ReversibleMap._step
+
+        def slow_on_chunk_1(self, q, p, steps):
+            if self is cfg.map:  # the forward stepping of a freshly drawn chunk
+                chunk = int(np.flatnonzero(starts == q[0])[0])
+                stepped_by[chunk] = threading.get_ident()
+                if chunk < 2:
+                    meet.wait()
+                if chunk == 1:
+                    time.sleep(0.2)
+            step(self, q, p, steps)
+
+        monkeypatch.setattr(parallel, "CPUS", 2)
+        monkeypatch.setattr(ReversibleMap, "_step", slow_on_chunk_1)
+        got = reversal_probability(cfg, lyapunov_estimate=1.0)
+        assert got.probability.hex() == prob.hex()
+        assert got.std_error.hex() == std_error.hex()
+        assert sorted(stepped_by) == list(range(7))
+        assert stepped_by[1] != stepped_by[0] == stepped_by[2] == stepped_by[6]
+
     def test_no_part_count_lost_under_frequent_switches(self, monkeypatch):
-        # 8 parts on fewer cores, switching threads every microsecond: a lost
-        # or doubled per-part count would move the probability
+        # 8 threads on fewer cores, switching threads every microsecond: a lost
+        # or doubled per-thread count would move the probability
         cfg = make_config(perturbed_kick=6.01, steps=2, samples=8 * _CHUNK + 3)
         _, prob, _ = all_at_once_reversal(cfg)
         monkeypatch.setattr(parallel, "CPUS", 8)
-        monkeypatch.setattr(reversal, "MAX_PARTS", 8)
+        monkeypatch.setattr(reversal, "MAX_THREADS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
