@@ -20,11 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError
-from .parallel import run_shared, workers
 from .qcore import StateVector, owned
-from .spincoarse import (MAX_ENSEMBLE, SphereGrid, SpinSystem, _chunk_rows, _chunk_states,
-                         _coherent_magnitudes, _mixture_q, _overlap_chunks, q_function_pure)
+from .spincoarse import (SphereGrid, SpinSystem, _coherent_magnitudes, _mixture_q,
+                         _node_overlaps, q_function_pure)
 
+# largest echo ensemble: at MAX_J's 1001 levels one time's block of member
+# states (members x levels x 16 B complex) is 0.52 GB at this size, and the
+# members x times overlaps (8 B each) add 0.26 MB per time
+MAX_ENSEMBLE = 2**15
 SIGMA_BYPASS = 1e-15  # below this the ensemble collapses onto its means exactly
 SIGMA_SPACING_FACTOR = 0.2  # "spread well below the level spacing", made operational
 
@@ -101,6 +104,11 @@ class GaussianPerturbation:
         return self.means + self.sigma / np.sqrt(2.0) * rng.standard_normal(self.means.size)
 
 
+def _check_pairing(h0: SpectralHamiltonian, pert: GaussianPerturbation):
+    if pert.h0 is not h0 and not np.array_equal(pert.h0.eigenvalues, h0.eigenvalues):
+        raise ValueError("perturbation ensemble is paired with a different Hamiltonian")
+
+
 def _check_times(times: np.ndarray):
     if np.any(times < 0):
         raise ValueError("times must be non-negative")
@@ -146,13 +154,12 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     so the mean overlap levels off above it; the exact ensemble-averaged
     Q-function is `averaged_q_formula`. Member states are pure phase profiles
     e^{iVt} * psi on the Dicke amplitudes; for each time the whole ensemble
-    goes through the separable Q evaluation in chunks, one Bhattacharyya value
-    per member, reduced in place in the chunk's scratch overlaps. The chunks
-    run on threads side by side that share the chunk budget, each taking the
-    next chunk when it is ready for one (`parallel.run_shared`); a member's
-    value does not depend on its chunk or its thread. When every
-    member equals the first, as at t = 0 or with sigma below SIGMA_BYPASS, one
-    member is evaluated and its value copied to all.
+    goes through the separable Q evaluation, one Bhattacharyya value per
+    member, reduced in place in the kernel's scratch overlaps on the threads
+    the kernel runs; a member's value does not depend on which thread
+    evaluated it. When every member equals the first, as at t = 0 or with
+    sigma below SIGMA_BYPASS, one member is evaluated and its value copied to
+    all.
     """
     times = owned(times, float)
     _check_times(times)
@@ -161,15 +168,12 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     if ensemble_size > MAX_ENSEMBLE:
         raise ValueError(f"ensemble of {ensemble_size} members exceeds the supported "
                          f"maximum {MAX_ENSEMBLE}")
-    if pert.h0 is not h0 and not np.array_equal(pert.h0.eigenvalues, h0.eigenvalues):
-        raise ValueError("perturbation ensemble is paired with a different Hamiltonian")
+    _check_pairing(h0, pert)
     q_before = q_function_pure(psi, sys, grid)
     weighted_before = grid.weights * np.sqrt(q_before.values)
     norm = (2 * sys.j + 1) / (4 * np.pi)
     values = np.array([pert.draw_values(member) for member in range(ensemble_size)])
 
-    # no more threads than states fit in the chunk budget, which the threads share
-    per_chunk = max(1, _chunk_states(grid))
     overlaps = np.empty((ensemble_size, times.size))
     for it, t in enumerate(times):
         members = np.exp(1j * values * t) * psi.amplitudes
@@ -177,17 +181,14 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
         same = bool(np.all(members == members[0]))
         if same:
             members = members[:1]
-        threads = workers(len(members), per_chunk)
-        step = _chunk_rows(grid, len(members), threads)
 
-        def reduce_members(starts) -> None:
-            for chunk, q_after in _overlap_chunks(sys, grid, members, step, starts):
-                q_after *= norm
-                np.sqrt(q_after, out=q_after)
-                q_after *= weighted_before
-                overlaps[chunk, it] = np.sum(q_after, axis=1)
+        def reduce_members(chunk: slice, q_after: np.ndarray) -> None:
+            q_after *= norm
+            np.sqrt(q_after, out=q_after)
+            q_after *= weighted_before
+            overlaps[chunk, it] = np.sum(q_after, axis=1)
 
-        run_shared(reduce_members, range(0, len(members), step), threads)
+        _node_overlaps(sys, grid, members, len(members), reduce_members)
         if same:
             overlaps[1:, it] = overlaps[0, it]
     np.clip(overlaps, 0.0, 1.0, out=overlaps)
@@ -212,6 +213,7 @@ def averaged_q_formula(psi: StateVector, h0: SpectralHamiltonian, pert: Gaussian
 
     with phi_m(t) = psi_m e^{i W_m t}.
     """
+    _check_pairing(h0, pert)
     damping = np.exp(-(pert.sigma * t) ** 2 / 2.0)
     phi = np.exp(1j * pert.means * t) * psi.amplitudes
     coherent_part = _mixture_q(sys, grid, np.ones(1), phi[None, :])

@@ -14,14 +14,11 @@ from math import lgamma, pi
 import numpy as np
 
 from .errors import GridOrderError, ToleranceError
+from .parallel import run_shared, workers
 from .qcore import Immutable, OperatorMatrix, StateVector, owned
 
 MAX_J = 500  # binomials are evaluated in log space; beyond this we refuse
 MAX_GRID_AXIS = 2 * MAX_J + 2  # nodes per axis of the default grid of the largest spin
-# largest echo ensemble: at MAX_J's 1001 levels one time's block of member
-# states (members x levels x 16 B complex) is 0.52 GB at this size, and the
-# members x times overlaps (8 B each) add 0.26 MB per time
-MAX_ENSEMBLE = 2**15
 Q_NORM_TOL = 1e-8
 BHATTACHARYYA_EXCESS_TOL = 1e-8
 # complex node overlaps held at once, which bounds the peak memory of a Q
@@ -220,67 +217,62 @@ def _check_order(sys: SpinSystem, grid: SphereGrid):
             f"grid exactness order {grid.exactness_order} below the spin band limit {band}")
 
 
-def _chunk_states(grid: SphereGrid) -> int:
-    """States whose complex node overlaps fit in OVERLAP_CHUNK_BYTES; 0 on
-    grids where one state's alone exceed it."""
-    return OVERLAP_CHUNK_BYTES // (16 * grid.size)
-
-
-def _chunk_rows(grid: SphereGrid, states: int, parts: int) -> int:
-    """States per `_node_overlaps` chunk: as many of `states` as fit in
-    OVERLAP_CHUNK_BYTES / parts of complex overlaps, at least one."""
-    return max(1, min(states, _chunk_states(grid) // parts))
-
-
-def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, parts: int):
-    """|<Omega|psi_k>|^2 at every grid node for each row psi_k of `states`.
+def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, most: int,
+                   reduce) -> None:
+    """reduce(chunk, overlaps) with |<Omega|psi_k>|^2 at every grid node for
+    the rows psi_k = states[chunk], over consecutive chunks of `states`.
 
     On the product grid <Omega|psi> = e^{-ij phi} sum_m d_m(theta) psi_m
     e^{i(j+m) phi} with the real d_m(theta) = |<m|theta, 0>|, so each theta-row
     is one length-n_phi inverse DFT of d(theta) * psi, and the phase
     e^{-ij phi} drops out of |.|^2 (Driscoll & Healy, Adv. Appl. Math. 15,
-    1994). Yields (slice of `states`, overlaps of shape (rows, nodes)) for
-    consecutive chunks of `_chunk_rows(grid, len(states), parts)` states:
-    `parts` callers running side by side share the budget.
+    1994).
 
-    One zero-padded complex buffer and one real buffer serve every chunk: the
-    yielded overlaps are scratch space that the next chunk overwrites, so a
-    caller copies or reduces them before it resumes the generator, and may
-    reduce them in place. A caller that skips rows equal to others under
-    `==` loses nothing: +0 and -0 compare equal, and the sign of a zero
-    cannot change |<Omega|psi>|^2.
+    The chunks run on up to `most` threads side by side, each taking the next
+    chunk when it is ready for one (`parallel.run_shared`): no more threads
+    than states fit in OVERLAP_CHUNK_BYTES, which they share, at least one
+    state a chunk. Each thread reuses one zero-padded complex buffer and one
+    real buffer: the overlaps passed to `reduce` are scratch space that the
+    thread's next chunk overwrites, so `reduce` copies or reduces them (in
+    place if it likes), and with `most` > 1 writes only where no other chunk
+    writes. A caller that skips rows equal to others under `==` loses
+    nothing: +0 and -0 compare equal, and the sign of a zero cannot change
+    |<Omega|psi>|^2.
     """
-    step = _chunk_rows(grid, len(states), parts)
-    return _overlap_chunks(sys, grid, states, step, range(0, len(states), step))
-
-
-def _overlap_chunks(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, step: int,
-                    starts):
-    """`_node_overlaps`' chunks of `step` rows of `states`, one for each first
-    row in `starts`: threads running side by side pass one shared iterator
-    over the first rows, each thread its own buffers."""
     # the order check guarantees n_phi >= 2j+1; below that ifft would silently
     # truncate the m-sum instead of raising
     _check_order(sys, grid)
     table = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
-    padded = np.zeros((step, grid.n_theta, grid.n_phi), dtype=complex)
-    overlaps = np.empty((step, grid.size))
-    for start in starts:
-        chunk = slice(start, start + step)
-        block = states[chunk]
-        rows, out = padded[:len(block)], overlaps[:len(block)]
-        np.multiply(table, block[:, None, :], out=rows[..., :sys.dim])
-        rows[..., sys.dim:] = 0.0  # the previous chunk's transform overwrote the padding
-        np.fft.ifft(rows, axis=-1, norm="forward", out=rows)
-        np.abs(rows.reshape(len(block), -1), out=out)
-        yield chunk, np.square(out, out=out)
+    fit = OVERLAP_CHUNK_BYTES // (16 * grid.size)  # 0 where one state's overlaps exceed it
+    threads = workers(len(states), min(most, max(1, fit)))
+    step = max(1, min(len(states), fit // threads))
+
+    def run(starts) -> None:
+        padded = np.zeros((step, grid.n_theta, grid.n_phi), dtype=complex)
+        overlaps = np.empty((step, grid.size))
+        for start in starts:
+            chunk = slice(start, start + step)
+            block = states[chunk]
+            rows, out = padded[:len(block)], overlaps[:len(block)]
+            np.multiply(table, block[:, None, :], out=rows[..., :sys.dim])
+            rows[..., sys.dim:] = 0.0  # the previous chunk's transform overwrote the padding
+            np.fft.ifft(rows, axis=-1, norm="forward", out=rows)
+            np.abs(rows.reshape(len(block), -1), out=out)
+            reduce(chunk, np.square(out, out=out))
+
+    run_shared(run, range(0, len(states), step), threads)
 
 
 def _mixture_q(sys: SpinSystem, grid: SphereGrid, weights: np.ndarray,
                states: np.ndarray) -> np.ndarray:
     """(2j+1)/(4pi) sum_k weights_k |<Omega|psi_k>|^2 at every grid node."""
-    total = sum(weights[chunk] @ overlaps
-                for chunk, overlaps in _node_overlaps(sys, grid, states, 1))
+    total = 0  # summed chunk after chunk on one thread, as `sum` adds
+
+    def add(chunk, overlaps) -> None:
+        nonlocal total
+        total = total + weights[chunk] @ overlaps
+
+    _node_overlaps(sys, grid, states, 1, add)
     return (2 * sys.j + 1) / (4 * pi) * total
 
 

@@ -241,6 +241,18 @@ class TestEchoExperiment:
         with pytest.raises(ValueError):
             echo_experiment(psi, h0, pert, [0.0, 1.0], 50, sys_, grid)
 
+    def test_mismatched_hamiltonian_rejected(self, echo_run):
+        sys_, grid, _, pert, psi, _ = echo_run
+        other = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=99)
+        with pytest.raises(ValueError, match="different Hamiltonian"):
+            echo_experiment(psi, other, pert, [0.0, 1.0], 100, sys_, grid)
+        with pytest.raises(ValueError, match="different Hamiltonian"):
+            averaged_q_formula(psi, other, pert, 1.0, sys_, grid)
+        # another object with the same spectrum is the same Hamiltonian
+        twin = SpectralHamiltonian(sys=sys_, eigenvalues=pert.h0.eigenvalues)
+        assert np.array_equal(averaged_q_formula(psi, twin, pert, 1.0, sys_, grid),
+                              averaged_q_formula(psi, pert.h0, pert, 1.0, sys_, grid))
+
 
 def reference_echo(psi, h0, pert, times, ensemble_size, sys_, grid):
     """echo_experiment's member loop as it was before the in-place reduction
@@ -319,13 +331,11 @@ class TestEchoBuffers:
     def test_one_member_evaluated_when_all_are_equal(self, setup, monkeypatch):
         rows = []
 
-        def counting(sys_, grid, states, step, starts):
+        def counting(sys_, grid, states, most, reduce):
             rows.append(len(states))
-            return spincoarse._overlap_chunks(sys_, grid, states, step, starts)
+            return spincoarse._node_overlaps(sys_, grid, states, most, reduce)
 
-        # one thread, so the whole ensemble of a time is one call
-        monkeypatch.setattr(parallel, "CPUS", 1)
-        monkeypatch.setattr(echo_mod, "_overlap_chunks", counting)
+        monkeypatch.setattr(echo_mod, "_node_overlaps", counting)
         psi, h0, pert, times, ensemble, sys_, grid = setup
         echo_experiment(*setup)
         bypass = pert.sigma < echo_mod.SIGMA_BYPASS

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
-from fapplab import spincoarse
+from fapplab import parallel, spincoarse
 from fapplab.errors import GridOrderError
 from fapplab.qcore import OperatorMatrix, StateVector
 from fapplab.spincoarse import (QFunction, SolidAngle, SphereGrid,
@@ -300,9 +300,10 @@ class TestSeparableRoute:
 
 
 class TestOverlapBuffers:
-    """The kernel reuses one pair of chunk buffers and an in-place FFT; its
-    overlaps and mixtures keep the bits of the allocate-per-chunk reference at
-    every budget, from one state per chunk to all states in one."""
+    """The kernel reuses one pair of chunk buffers per thread and an in-place
+    FFT; its overlaps and mixtures keep the bits of the allocate-per-chunk
+    reference at every budget, from one state per chunk to all states in one,
+    and at every thread count."""
 
     SYS = SpinSystem(7.5)
     GRID = SphereGrid.for_spin(SYS)
@@ -320,6 +321,18 @@ class TestOverlapBuffers:
             out[chunk] = overlaps   # copied: the kernel's array is scratch space
         return out
 
+    def kernel_overlaps(self, states, most):
+        """`_node_overlaps`' overlaps of every state, and its chunks as reduced."""
+        out = np.full((len(states), self.GRID.size), np.nan)
+        chunks = []
+
+        def copy(chunk, overlaps):
+            chunks.append(chunk)
+            out[chunk] = overlaps   # copied: the kernel's array is scratch space
+
+        _node_overlaps(self.SYS, self.GRID, states, most, copy)
+        return out, chunks
+
     @pytest.fixture
     def states(self, rng):
         return np.array([random_state(rng, self.SYS.dim) for _ in range(self.STATES)])
@@ -328,8 +341,7 @@ class TestOverlapBuffers:
     def test_overlaps_match_reference_bits(self, budget, states, monkeypatch):
         nbytes = self.BUDGETS[budget]
         monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", nbytes)
-        got = self.collect(_node_overlaps(self.SYS, self.GRID, states, 1),
-                           self.STATES, self.GRID.size)
+        got, _ = self.kernel_overlaps(states, 1)
         want = self.collect(reference_node_overlaps(self.SYS, self.GRID, states, nbytes),
                             self.STATES, self.GRID.size)
         assert np.array_equal(got, want)
@@ -351,8 +363,32 @@ class TestOverlapBuffers:
 
     def test_chunks_cover_every_state_once(self, states, monkeypatch):
         monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", self.BUDGETS["ragged"])
-        chunks = [chunk for chunk, _ in _node_overlaps(self.SYS, self.GRID, states, 1)]
+        _, chunks = self.kernel_overlaps(states, 1)
         assert [len(range(self.STATES)[c]) for c in chunks] == [5] * 7 + [2]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_threads_share_the_budget(self, cpus, states, monkeypatch):
+        # 5 states fit in the ragged budget: at most 5 threads, which take
+        # chunks of 5, 2, 1 and 1 states at 1, 2, 3 and 8 CPUs
+        nbytes = self.BUDGETS["ragged"]
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", nbytes)
+        monkeypatch.setattr(parallel, "CPUS", cpus)
+        started = []
+
+        def counting(work, items, most):
+            started.append(parallel.workers(len(items), most))
+            parallel.run_shared(work, items, most)
+
+        monkeypatch.setattr(spincoarse, "run_shared", counting)
+        got, chunks = self.kernel_overlaps(states, most=10**6)
+        [threads] = started
+        assert threads == min(cpus, 5)
+        rows = [range(self.STATES)[c] for c in chunks]
+        assert sorted(i for r in rows for i in r) == list(range(self.STATES))
+        assert max(map(len, rows)) * 16 * self.GRID.size <= nbytes / threads
+        want = self.collect(reference_node_overlaps(self.SYS, self.GRID, states, nbytes),
+                            self.STATES, self.GRID.size)
+        assert np.array_equal(got, want)
 
 
 class TestLargeSpin:
