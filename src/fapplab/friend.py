@@ -25,10 +25,7 @@ from .qcore import OperatorMatrix, StateVector
 
 STAGES = ("initial", "post-stern-gerlach", "post-observer", "post-message")
 
-Z_PLUS = np.array([1.0, 0.0], dtype=complex)
-Z_MINUS = np.array([0.0, 1.0], dtype=complex)
 X_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 MESSAGE_BLANK = np.array([0.0, 0.0, 1.0], dtype=complex)
 MESSAGE_DEFINITE = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
@@ -38,7 +35,7 @@ MESSAGE_DEFINITE = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 class LabSpace:
     """Five-system laboratory layout; observer dimension 2 or 3."""
 
-    observer_dim: int = 2
+    observer_dim: int
     factor_dims: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -75,16 +72,8 @@ def _require_stage(state: LabState, *allowed: str):
         raise StageError(f"operation requires stage in {allowed}, state is at {state.stage!r}")
 
 
-def _apply_local(state: LabState, gate: OperatorMatrix, first_factor: int,
-                 new_stage: str) -> LabState:
-    """Apply a gate on the adjacent factors starting at `first_factor`: the
-    amplitudes are reshaped to (left, gate.dim, right) and multiplied once.
-    """
-    left = math.prod(state.space.factor_dims[:first_factor])
-    amps = state.psi.amplitudes.reshape(left, gate.dim, -1)
-    return LabState(space=state.space,
-                    psi=StateVector(np.matmul(gate.entries, amps)),
-                    stage=new_stage)
+def _staged(state: LabState, amps: np.ndarray, new_stage: str) -> LabState:
+    return LabState(space=state.space, psi=StateVector(amps), stage=new_stage)
 
 
 def prepare_initial(space: LabSpace) -> LabState:
@@ -94,51 +83,28 @@ def prepare_initial(space: LabSpace) -> LabState:
     return LabState(space=space, psi=StateVector(amps), stage="initial")
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) as an outer product and a reshape: the same products, so
-    the same bits, without np.kron's overhead."""
-    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(len(a) * len(b), -1)
-
-
-def stern_gerlach_unitary(space: LabSpace) -> OperatorMatrix:
-    """8x8 branch recorder on (atom, organ-up, organ-down): the up branch flips
-    organ 2, the down branch flips organ 3. Self-inverse on the z basis.
-    """
-    p_up = np.outer(Z_PLUS, Z_PLUS.conj())
-    p_down = np.outer(Z_MINUS, Z_MINUS.conj())
-    u123 = _kron(_kron(p_up, FLIP), np.eye(2)) + _kron(_kron(p_down, np.eye(2)), FLIP)
-    return OperatorMatrix(u123, kind="unitary")
-
-
 def stern_gerlach(state: LabState) -> LabState:
-    _require_stage(state, "initial")
-    return _apply_local(state, stern_gerlach_unitary(state.space), 0, "post-stern-gerlach")
-
-
-def observer_unitary(space: LabSpace) -> OperatorMatrix:
-    """(4 d4)x(4 d4) observer readout on (organ-up, organ-down, observer): the
-    (+,-) organ pattern writes "knows up", the (-,+) pattern writes "knows down".
+    """Branch recorder on (atom, organ-up, organ-down): the up branch flips
+    organ-up, the down branch flips organ-down. The amplitudes only move, so
+    the record is unitary and self-inverse on the z basis.
     """
-    d4 = space.observer_dim
-    ready = space.ready_index
-    g_up = np.eye(d4, dtype=complex)
-    g_down = np.eye(d4, dtype=complex)
-    if d4 == 2:
-        g_down = FLIP  # ready |0> -> |1>, i.e. "knows down"
-    else:
-        g_up[[0, ready]] = g_up[[ready, 0]]
-        g_down[[1, ready]] = g_down[[ready, 1]]
-    p_up_branch = _kron(np.outer(Z_PLUS, Z_PLUS.conj()), np.outer(Z_MINUS, Z_MINUS.conj()))
-    p_down_branch = _kron(np.outer(Z_MINUS, Z_MINUS.conj()), np.outer(Z_PLUS, Z_PLUS.conj()))
-    p_rest = np.eye(4) - p_up_branch - p_down_branch
-    u234 = (_kron(p_up_branch, g_up) + _kron(p_down_branch, g_down)
-            + _kron(p_rest, np.eye(d4)))
-    return OperatorMatrix(u234, kind="unitary")
+    _require_stage(state, "initial")
+    amps = state.psi.amplitudes.reshape(state.space.factor_dims)
+    return _staged(state, np.stack((amps[0, ::-1], amps[1, :, ::-1])), "post-stern-gerlach")
 
 
 def observer_coupling(state: LabState) -> LabState:
+    """Observer readout on (organ-up, organ-down, observer): the (+,-) organ
+    pattern swaps ready with "knows up", the (-,+) pattern swaps ready with
+    "knows down", and every other amplitude stays where it is.
+    """
     _require_stage(state, "post-stern-gerlach")
-    return _apply_local(state, observer_unitary(state.space), 1, "post-observer")
+    ready = state.space.ready_index
+    src = state.psi.amplitudes.reshape(state.space.factor_dims)
+    amps = src.copy()
+    for up, down, knows in ((0, 1, 0), (1, 0, 1)):  # organ pattern, observer level it writes
+        amps[:, up, down, [ready, knows]] = src[:, up, down, [knows, ready]]
+    return _staged(state, amps, "post-observer")
 
 
 def write_message(state: LabState) -> LabState:
@@ -146,14 +112,17 @@ def write_message(state: LabState) -> LabState:
 
     Implemented as a local unitary on system 5 alone, so the laboratory
     superposition is untouched and the global state stays a product with the
-    message factor.
+    message factor. It is the one gate that mixes amplitudes, so it alone is
+    a validated matrix.
     """
     _require_stage(state, "post-observer")
     u5 = np.zeros((3, 3), dtype=complex)
     u5[:, 2] = MESSAGE_DEFINITE
     u5[:, 0] = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
     u5[:, 1] = np.array([0.0, 0.0, 1.0])
-    return _apply_local(state, OperatorMatrix(u5, kind="unitary"), 4, "post-message")
+    gate = OperatorMatrix(u5, kind="unitary")
+    return _staged(state, np.matmul(gate.entries, state.psi.amplitudes.reshape(-1, 3, 1)),
+                   "post-message")
 
 
 def branch_states(space: LabSpace) -> tuple[StateVector, StateVector]:

@@ -19,7 +19,7 @@ PROJECTOR_TOL = 1e-10
 NORM_TOL = 1e-12
 DENSITY_TOL = 1e-10  # hermiticity, trace and smallest eigenvalue of `is_density`
 
-_KINDS = ("generic", "hermitian", "unitary", "projector")
+_KINDS = ("hermitian", "unitary", "projector")
 
 
 def owned(a, dtype) -> np.ndarray:
@@ -89,14 +89,14 @@ class StateVector(Immutable):
 
 
 class OperatorMatrix(Immutable):
-    """Square complex matrix tagged as generic, hermitian, unitary, or projector.
+    """Square complex matrix tagged as hermitian, unitary, or projector.
 
     The tag is verified at construction, so downstream code can rely on it.
     """
 
     __slots__ = ("dim", "entries", "kind")
 
-    def __init__(self, entries, kind: str = "generic"):
+    def __init__(self, entries, kind: str):
         m = owned(entries, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got shape {m.shape}")

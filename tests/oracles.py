@@ -7,7 +7,10 @@ takes every member's phase profile at once; the sampled CHSH
 value is the four `correlation_sampled` calls of a sampled bell run. The
 observable builders give the branch-span observables at any angle, where
 `ChshSettings.default` forms only its four; `great_circle_angle` is the angle
-in the closed-form coherent-state overlap law.
+in the closed-form coherent-state overlap law. The friend's two recordings,
+which the library applies by moving amplitudes, are here the dense gates
+summed from Kronecker products of projectors, to be lifted onto the full
+laboratory space.
 """
 
 from __future__ import annotations
@@ -18,11 +21,16 @@ from fapplab.bell import (ChshSettings, MacroObservable, _branch_matrices, _macr
                           chsh_from_correlations, correlation_sampled)
 from fapplab.echo import GaussianPerturbation, SpectralHamiltonian
 from fapplab.errors import ToleranceError
+from fapplab.friend import LabSpace
 from fapplab.qcore import OperatorMatrix, StateVector
 from fapplab.spincoarse import (SolidAngle, SphereGrid, SpinSystem, bhattacharyya,
                                 q_function_pure)
 
 DIAGONAL_TOL = 1e-12
+
+Z_PLUS = np.array([1.0, 0.0], dtype=complex)
+Z_MINUS = np.array([0.0, 1.0], dtype=complex)
+FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def draw_perturbation(pert: GaussianPerturbation, index: int) -> OperatorMatrix:
@@ -91,3 +99,41 @@ def great_circle_angle(a: SolidAngle, b: SolidAngle) -> float:
     c = (np.cos(a.theta) * np.cos(b.theta)
          + np.sin(a.theta) * np.sin(b.theta) * np.cos(a.phi - b.phi))
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def stern_gerlach_gate() -> np.ndarray:
+    """8x8 branch recorder on (atom, organ-up, organ-down): the up branch flips
+    organ-up, the down branch flips organ-down."""
+    p_up, p_down = np.outer(Z_PLUS, Z_PLUS.conj()), np.outer(Z_MINUS, Z_MINUS.conj())
+    return (np.kron(np.kron(p_up, FLIP), np.eye(2))
+            + np.kron(np.kron(p_down, np.eye(2)), FLIP))
+
+
+def observer_gate(space: LabSpace) -> np.ndarray:
+    """(4 d)x(4 d) observer readout on (organ-up, organ-down, observer): the
+    (+,-) organ pattern writes "knows up", the (-,+) pattern "knows down"."""
+    d4, ready = space.observer_dim, space.ready_index
+    g_up, g_down = np.eye(d4, dtype=complex), np.eye(d4, dtype=complex)
+    if d4 == 2:
+        g_down = FLIP  # ready |0> -> |1>, i.e. "knows down"
+    else:
+        g_up[[0, ready]] = g_up[[ready, 0]]
+        g_down[[1, ready]] = g_down[[ready, 1]]
+    p_up, p_down = np.outer(Z_PLUS, Z_PLUS.conj()), np.outer(Z_MINUS, Z_MINUS.conj())
+    up_branch, down_branch = np.kron(p_up, p_down), np.kron(p_down, p_up)
+    rest = np.eye(4) - up_branch - down_branch
+    return (np.kron(up_branch, g_up) + np.kron(down_branch, g_down)
+            + np.kron(rest, np.eye(d4)))
+
+
+def lift(gate: np.ndarray, left: int, right: int) -> np.ndarray:
+    """`gate` on the middle factors of a left x gate x right product space."""
+    return np.kron(np.kron(np.eye(left), gate), np.eye(right))
+
+
+def lifted_stern_gerlach(space: LabSpace) -> np.ndarray:
+    return lift(stern_gerlach_gate(), 1, 3 * space.observer_dim)
+
+
+def lifted_observer_coupling(space: LabSpace) -> np.ndarray:
+    return lift(observer_gate(space), 2, 3)

@@ -4,13 +4,13 @@ from numpy.testing import assert_allclose
 
 from fapplab.errors import StageError
 from fapplab.qcore import (OperatorMatrix, StateVector, partial_trace, tensor_all)
-from fapplab.friend import (FLIP, MESSAGE_BLANK, X_PLUS, Z_MINUS, Z_PLUS, LabSpace,
-                            LabState, branch_states, interference_measurement,
-                            interference_states, message_mutual_information,
-                            message_purity, message_reduced_state, observer_coupling,
-                            observer_unitary,
-                            prepare_initial, run_pipeline, stern_gerlach, stern_gerlach_unitary,
+from fapplab.friend import (MESSAGE_BLANK, X_PLUS, LabSpace, LabState, branch_states,
+                            interference_measurement, interference_states,
+                            message_mutual_information, message_purity, message_reduced_state,
+                            observer_coupling, prepare_initial, run_pipeline, stern_gerlach,
                             write_message)
+from oracles import (Z_MINUS, lift, lifted_observer_coupling, lifted_stern_gerlach,
+                     observer_gate, stern_gerlach_gate)
 
 
 @pytest.fixture(params=[2, 3], ids=["observer2", "observer3"])
@@ -54,10 +54,14 @@ class TestPreparation:
 
 
 class TestSternGerlach:
+    # the oracle gates' properties hold for the library's recordings, which
+    # TestUnitariesAgainstKron ties to the oracles bit for bit
     def test_unitary(self, space):
-        u = stern_gerlach_unitary(space)
-        assert u.dim == 8  # local gate on (atom, organ-up, organ-down)
-        assert np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(8))) < 1e-12
+        u = stern_gerlach_gate()
+        assert u.shape == (8, 8)  # local gate on (atom, organ-up, organ-down)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < 1e-12
+        lifted = lifted_stern_gerlach(space)
+        assert np.array_equal(lifted @ lifted.conj().T, np.eye(space.total_dim))
 
     def test_branch_recording(self, space2):
         state = stern_gerlach(prepare_initial(space2))
@@ -84,7 +88,7 @@ class TestSternGerlach:
         assert_allclose(rho2.entries, [[1, 0], [0, 0]], atol=1e-14)  # flipped to up
 
     def test_self_inverse_on_definite_inputs(self, space2):
-        u = stern_gerlach_unitary(space2).entries
+        u = stern_gerlach_gate()
         assert np.max(np.abs(u @ u - np.eye(8))) < 1e-12
 
     def test_wrong_stage_rejected(self, space2):
@@ -95,10 +99,12 @@ class TestSternGerlach:
 
 class TestObserverCoupling:
     def test_unitary(self, space):
-        u = observer_unitary(space)
+        u = observer_gate(space)
         d = 4 * space.observer_dim  # local gate on (organ-up, organ-down, observer)
-        assert u.dim == d
-        assert np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(d))) < 1e-12
+        assert u.shape == (d, d)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(d))) < 1e-12
+        lifted = lifted_observer_coupling(space)
+        assert np.array_equal(lifted @ lifted.conj().T, np.eye(space.total_dim))
 
     def test_reaches_superposition_output(self, space):
         state = observer_coupling(stern_gerlach(prepare_initial(space)))
@@ -225,59 +231,51 @@ class TestPipelineReport:
 
 
 class TestUnitariesAgainstKron:
-    """The gates are built without np.kron; every bit, signed zeros included,
-    must match the chained np.kron construction.
+    """The two recordings move amplitudes instead of multiplying a gate. On
+    every basis state, and on a random state, every bit, signed zeros
+    included, must match the chained np.kron gate lifted onto the laboratory:
+    a coupling that also touched the (z+, z+) or (z-, z-) organ patterns,
+    where the pipeline's state has no weight, would fail here.
     """
 
     @staticmethod
-    def same_bits(gate, want):
-        return np.array_equal(gate.entries.view(np.int64), want.view(np.int64))
+    def assert_matches(step, stage, space, lifted):
+        n = space.total_dim
+        got = np.column_stack([
+            step(LabState(space=space, psi=StateVector.basis(n, k), stage=stage)).psi.amplitudes
+            for k in range(n)])
+        assert np.array_equal(got.view(np.int64), lifted.view(np.int64))
+        rng = np.random.default_rng(11)
+        psi = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n), normalize=True)
+        got = step(LabState(space=space, psi=psi, stage=stage)).psi.amplitudes
+        assert np.array_equal(got.view(np.int64), (lifted @ psi.amplitudes).view(np.int64))
 
     def test_stern_gerlach(self, space):
-        p_up, p_down = np.outer(Z_PLUS, Z_PLUS.conj()), np.outer(Z_MINUS, Z_MINUS.conj())
-        want = (np.kron(np.kron(p_up, FLIP), np.eye(2))
-                + np.kron(np.kron(p_down, np.eye(2)), FLIP))
-        assert self.same_bits(stern_gerlach_unitary(space), want)
+        self.assert_matches(stern_gerlach, "initial", space, lifted_stern_gerlach(space))
 
     def test_observer(self, space):
-        d4, ready = space.observer_dim, space.ready_index
-        g_up, g_down = np.eye(d4, dtype=complex), np.eye(d4, dtype=complex)
-        if d4 == 2:
-            g_down = FLIP
-        else:
-            g_up[[0, ready]] = g_up[[ready, 0]]
-            g_down[[1, ready]] = g_down[[ready, 1]]
-        p_up, p_down = np.outer(Z_PLUS, Z_PLUS.conj()), np.outer(Z_MINUS, Z_MINUS.conj())
-        up_branch, down_branch = np.kron(p_up, p_down), np.kron(p_down, p_up)
-        rest = np.eye(4) - up_branch - down_branch
-        want = (np.kron(up_branch, g_up) + np.kron(down_branch, g_down)
-                + np.kron(rest, np.eye(d4)))
-        assert self.same_bits(observer_unitary(space), want)
+        self.assert_matches(observer_coupling, "post-stern-gerlach", space,
+                            lifted_observer_coupling(space))
 
 
 class TestLocalGatesAgainstFullSpaceOracle:
-    """The local gates and reduced states against the full-space route:
-    Kronecker-lifted 48x48 / 72x72 unitaries and partial traces of |psi><psi|.
+    """The recordings, the message gate and the reduced states against the
+    full-space route: Kronecker-lifted 48x48 / 72x72 unitaries and partial
+    traces of |psi><psi|.
     """
-
-    @staticmethod
-    def lift(gate, left, right):
-        return np.kron(np.kron(np.eye(left), gate), np.eye(right))
 
     def test_pipeline_amplitudes(self, space):
         d4 = space.observer_dim
-        u123 = self.lift(stern_gerlach_unitary(space).entries, 1, 3 * d4)
-        u234 = self.lift(observer_unitary(space).entries, 2, 3)
         u5 = np.zeros((3, 3), dtype=complex)  # write_message's gate on the message qutrit
         u5[:, 0] = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         u5[:, 1] = [0.0, 0.0, 1.0]
         u5[:, 2] = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        u5 = self.lift(u5, 8 * d4, 1)
 
         state = prepare_initial(space)
         psi = state.psi.amplitudes
-        for step, u in ((stern_gerlach, u123), (observer_coupling, u234),
-                        (write_message, u5)):
+        for step, u in ((stern_gerlach, lifted_stern_gerlach(space)),
+                        (observer_coupling, lifted_observer_coupling(space)),
+                        (write_message, lift(u5, 8 * d4, 1))):
             state = step(state)
             psi = u @ psi
             assert_allclose(state.psi.amplitudes, psi, rtol=0, atol=1e-15)

@@ -252,7 +252,7 @@ class TestQFunction:
         sys = SpinSystem(2)
         grid = SphereGrid.for_spin(sys)
         with pytest.raises(ValueError):
-            q_function(OperatorMatrix(np.eye(sys.dim)), sys, grid)
+            q_function(OperatorMatrix(np.eye(sys.dim), kind="hermitian"), sys, grid)
 
     def test_phi_rotation_symmetry(self):
         sys = SpinSystem(6)

@@ -145,7 +145,8 @@ def _nonfinite_builders():
 
     builders = {
         "StateVector.amplitudes": lambda x: StateVector(_with_entry([0.6, 0.8j], x)),
-        "OperatorMatrix.entries": lambda x: OperatorMatrix(_with_entry(np.eye(2), x)),
+        "OperatorMatrix.entries": lambda x: OperatorMatrix(_with_entry(np.eye(2), x),
+                                                           kind="hermitian"),
         "SpinSystem.j": SpinSystem,
         "SolidAngle.theta": lambda x: SolidAngle(x, 1.0),
         "SolidAngle.phi": lambda x: SolidAngle(0.5, x),
