@@ -24,9 +24,21 @@ from .qcore import StateVector, owned
 from .spincoarse import (SphereGrid, SpinSystem, _coherent_magnitudes, _mixture_q,
                          _node_overlaps, q_function_pure)
 
-# largest echo ensemble: at MAX_J's 1001 levels one time's block of member
-# states (members x levels x 16 B complex) is 0.52 GB at this size, and the
-# members x times overlaps (8 B each) add 0.26 MB per time
+#: most member-time-node evaluations per run, the time bound: ~60 ns each at
+#: j = 500 on one CPU and on two (one state's overlaps exceed the chunk budget,
+#: so one thread runs) and 12-30 ns at j = 5 to 200 (14-28 ns on one CPU), so
+#: a capped run takes ~2 min at most; it admits the default four times at MAX_J
+#: with 500 members
+MAX_RUN_EVALS = 2**31
+#: most member-times per run, the memory bound: the members x times overlaps
+#: (8 B each) stay within 128 MiB on any grid, where MAX_RUN_EVALS alone would
+#: allow 1.9 GB on the 9 nodes of j = 1/2; there and at j = 2 a member-time
+#: costs 1.3-2.7 us on one or two CPUs, ~45 s for a capped run
+MAX_RUN_OVERLAPS = 2**24
+#: largest echo ensemble, a memory bound (MAX_RUN_EVALS bounds the time): the
+#: members' level shifts (8 B per member-level) and one time's member states
+#: (16 B) take 0.07 and 0.13 GB at this size up to j = 127, the largest spin
+#: whose grid MAX_RUN_EVALS admits for every member at one time
 MAX_ENSEMBLE = 2**15
 SIGMA_BYPASS = 1e-15  # below this the ensemble collapses onto its means exactly
 SIGMA_SPACING_FACTOR = 0.2  # "spread well below the level spacing", made operational
@@ -67,6 +79,66 @@ class SpectralHamiltonian:
         return cls(sys=sys, eigenvalues=evals)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the
+# entropy hash, the state hash, and the mix of two pool words
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_MASK = 0xFFFFFFFF
+_POOL = 4
+
+
+def _hashmix(value, const: int, mult: int):
+    """numpy's hashmix of uint32 `value` (a Python int or a uint32 array)
+    under hash constant `const`; returns the hash and the next constant."""
+    const_next = const * mult & _MASK
+    value = (value ^ const) * const_next & _MASK
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    """numpy's mix of pool word `x` with hashed word `y`."""
+    value = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+    return value ^ value >> 16
+
+
+def _seed_words(seed: int, index: np.ndarray) -> np.ndarray:
+    """`SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)`
+    for every i of the uint32 array `index`, one row per member.
+
+    The assembled entropy is the seed's 32-bit words, least significant first
+    and zero-padded to the pool size, then the spawn word i. Every hash
+    constant follows from the number of words alone, so the pool is mixed
+    from the seed's words once, and only the spawn word and the output hash
+    run over the array of indices.
+    """
+    entropy = [seed & _MASK]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK)
+    entropy += [0] * (_POOL - len(entropy))
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL]:
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[_POOL:] + [index]:
+        for dst in range(_POOL):
+            word, const = _hashmix(extra, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    const = _INIT_B
+    state = []
+    for k in range(2 * _POOL):
+        word, const = _hashmix(pool[k % _POOL], const, _MULT_B)
+        state.append(word.astype(np.uint64))
+    return np.stack([low | high << np.uint64(32)
+                     for low, high in zip(state[::2], state[1::2])], axis=1)
+
+
 @dataclass(frozen=True)
 class GaussianPerturbation:
     """Ensemble of diagonal perturbations: level shift V_alpha drawn from the
@@ -86,6 +158,10 @@ class GaussianPerturbation:
             raise ValueError("one mean per level is required")
         if not self.sigma >= 0:  # NaN fails too
             raise ValueError("sigma must be non-negative")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.sigma >= SIGMA_BYPASS:
             limit = SIGMA_SPACING_FACTOR * self.h0.min_spacing
             if self.sigma >= limit:
@@ -93,15 +169,40 @@ class GaussianPerturbation:
                     f"sigma {self.sigma} is not small against the level spacing "
                     f"(limit {limit})")
 
-    def draw_values(self, index: int) -> np.ndarray:
-        """Level shifts of ensemble member `index`; deterministic in (seed, index)."""
-        if index < 0:
-            raise ValueError("ensemble index must be non-negative")
+    def draw_values(self, members: range) -> np.ndarray:
+        """Level shifts of the ensemble members in `members`, one row each.
+
+        Member i draws its standard normals from numpy's
+        `default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))`: the stream
+        is fixed by (seed, i) alone, whatever range the member is drawn in.
+        `_seed_words` hashes every member's seed words in one pass, and each
+        member's `PCG64` is seeded from its own words.
+        """
+        index = np.arange(members.start, members.stop, members.step, dtype=np.int64)
+        if index.size and (index.min() < 0 or index.max() > _MASK):
+            raise ValueError(f"ensemble indices must lie in [0, {_MASK}]")
         if self.sigma < SIGMA_BYPASS:
-            return self.means.copy()
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(index),)))
-        return self.means + self.sigma / np.sqrt(2.0) * rng.standard_normal(self.means.size)
+            return np.repeat(self.means[None, :], index.size, axis=0)
+        # numpy.random stays out of the import of fapplab.cli
+        from numpy.random import PCG64, Generator
+        from numpy.random.bit_generator import ISeedSequence
+
+        class Words(ISeedSequence):
+            """The four uint64 seed words of one member, as PCG64 asks for them."""
+
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype):
+                return self.words
+
+        words = _seed_words(self.seed, index.astype(np.uint32))
+        values = np.empty((index.size, self.means.size))
+        for row, member_words in zip(values, words):
+            Generator(PCG64(Words(member_words))).standard_normal(out=row)
+        values *= self.sigma / np.sqrt(2.0)
+        values += self.means
+        return values
 
 
 def _check_pairing(h0: SpectralHamiltonian, pert: GaussianPerturbation):
@@ -168,11 +269,17 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     if ensemble_size > MAX_ENSEMBLE:
         raise ValueError(f"ensemble of {ensemble_size} members exceeds the supported "
                          f"maximum {MAX_ENSEMBLE}")
+    if ensemble_size * times.size > MAX_RUN_OVERLAPS:
+        raise ValueError(f"{ensemble_size} members x {times.size} times exceed the "
+                         f"supported {MAX_RUN_OVERLAPS} member-times per run")
+    if ensemble_size * times.size * grid.size > MAX_RUN_EVALS:
+        raise ValueError(f"{ensemble_size} members x {times.size} times x {grid.size} "
+                         f"nodes exceed the supported {MAX_RUN_EVALS} evaluations per run")
     _check_pairing(h0, pert)
     q_before = q_function_pure(psi, sys, grid)
     weighted_before = grid.weights * np.sqrt(q_before.values)
     norm = (2 * sys.j + 1) / (4 * np.pi)
-    values = np.array([pert.draw_values(member) for member in range(ensemble_size)])
+    values = pert.draw_values(range(ensemble_size))
 
     overlaps = np.empty((ensemble_size, times.size))
     for it, t in enumerate(times):

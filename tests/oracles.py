@@ -3,7 +3,9 @@ batches, kept for tests to compare the library's results against.
 
 The echo oracles evolve one ensemble member at a time, as an explicit
 perturbation operator diagonal in the Dicke basis, where `echo_experiment`
-takes every member's phase profile at once; the sampled CHSH
+takes every member's phase profile at once, and seed each member through its
+own numpy `SeedSequence`, where `draw_values` hashes a whole range of members
+in one pass; the sampled CHSH
 value is the four `correlation_sampled` calls of a sampled bell run. The
 observable builders give the branch-span observables at any angle, where
 `ChshSettings.default` forms only its four; `great_circle_angle` is the angle
@@ -19,7 +21,7 @@ import numpy as np
 
 from fapplab.bell import (ChshSettings, MacroObservable, _branch_matrices, _macro, _rotated,
                           chsh_from_correlations, correlation_sampled)
-from fapplab.echo import GaussianPerturbation, SpectralHamiltonian
+from fapplab.echo import SIGMA_BYPASS, GaussianPerturbation, SpectralHamiltonian
 from fapplab.errors import ToleranceError
 from fapplab.friend import LabSpace
 from fapplab.qcore import OperatorMatrix, StateVector
@@ -33,9 +35,21 @@ Z_MINUS = np.array([0.0, 1.0], dtype=complex)
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+def seeded_values(pert: GaussianPerturbation, index: int) -> np.ndarray:
+    """Level shifts of ensemble member `index` through its own numpy
+    `SeedSequence(entropy=seed, spawn_key=(index,))`, the stream that
+    `draw_values` seeds for a whole range of members at once."""
+    if pert.sigma < SIGMA_BYPASS:
+        return pert.means.copy()
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=pert.seed, spawn_key=(index,)))
+    return pert.means + pert.sigma / np.sqrt(2.0) * rng.standard_normal(pert.means.size)
+
+
 def draw_perturbation(pert: GaussianPerturbation, index: int) -> OperatorMatrix:
     """Perturbation operator of one ensemble member, diagonal in the Dicke basis."""
-    return OperatorMatrix(np.diag(pert.draw_values(index)), kind="hermitian")
+    return OperatorMatrix(np.diag(pert.draw_values(range(index, index + 1))[0]),
+                          kind="hermitian")
 
 
 def _diagonal_values(h0: SpectralHamiltonian, v: OperatorMatrix) -> np.ndarray:

@@ -165,7 +165,7 @@ class TestExitCodes:
 
     def test_echo_rejects_times_before_running_ensemble(self, tmp_path, capsys,
                                                         monkeypatch):
-        def must_not_run(self, index):
+        def must_not_run(self, members):
             raise AssertionError("an ensemble member ran before the times were checked")
 
         monkeypatch.setattr(echo_mod.GaussianPerturbation, "draw_values", must_not_run)
@@ -177,11 +177,25 @@ class TestExitCodes:
 
     def test_echo_rejects_huge_ensemble_before_drawing_any(self, tmp_path, capsys,
                                                            monkeypatch):
-        def must_not_run(self, index):
+        def must_not_run(self, members):
             raise AssertionError("an ensemble member was drawn before the size was checked")
 
         monkeypatch.setattr(echo_mod.GaussianPerturbation, "draw_values", must_not_run)
         cfg = write_config(tmp_path / "c.cfg", experiment="echo", ensemble="1000000000")
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", cfg, "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echo_rejects_oversized_run_before_drawing_any(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # once an exit 1: the members x times overlaps alone asked for 244 GiB
+        def must_not_run(self, members):
+            raise AssertionError("an ensemble member was drawn before the run size was checked")
+
+        monkeypatch.setattr(echo_mod.GaussianPerturbation, "draw_values", must_not_run)
+        cfg = write_config(tmp_path / "c.cfg", experiment="echo", j="0.5", ensemble="32768",
+                           times=",".join(map(str, range(1000000))))
         out = tmp_path / "o.csv"
         assert run_cli("--config", cfg, "--out", str(out)) == 2
         assert "config error" in capsys.readouterr().err

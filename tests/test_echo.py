@@ -10,11 +10,13 @@ from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, StateVector
 from fapplab.spincoarse import (SolidAngle, SphereGrid, SpinSystem,
                                 coherent_kernel, coherent_state, q_function_pure)
-from fapplab.echo import (EchoCurve, GaussianPerturbation, SpectralHamiltonian,
-                          averaged_q_formula, echo_experiment)
+from fapplab.echo import (MAX_ENSEMBLE, MAX_RUN_EVALS, MAX_RUN_OVERLAPS, EchoCurve,
+                          GaussianPerturbation, SpectralHamiltonian, averaged_q_formula,
+                          echo_experiment)
 
 from conftest import random_state, reference_node_overlaps
-from oracles import combined_evolution, draw_perturbation, reversibility_measure
+from oracles import (combined_evolution, draw_perturbation, reversibility_measure,
+                     seeded_values)
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +55,16 @@ class TestGaussianPerturbation:
         sys_, _, h0 = small_setup
         means = np.linspace(-1, 1, sys_.dim) * 0.01
         pert = GaussianPerturbation(sigma=0.0, means=means, seed=0, h0=h0)
-        assert np.array_equal(pert.draw_values(0), means)
-        assert np.array_equal(pert.draw_values(7), means)
+        draws = pert.draw_values(range(8))
+        assert draws.shape == (8, sys_.dim)
+        assert all(np.array_equal(row, means) for row in draws)
 
     def test_sample_moments(self, small_setup):
         sys_, _, h0 = small_setup
         sigma = 0.05
         means = np.full(sys_.dim, 0.3) * sigma
         pert = GaussianPerturbation(sigma=sigma, means=means, seed=5, h0=h0)
-        draws = np.array([pert.draw_values(i) for i in range(10000)])
+        draws = pert.draw_values(range(10000))
         # mean within 4 standard errors of the mean, per level
         se = sigma / np.sqrt(2) / 100
         assert np.all(np.abs(draws.mean(axis=0) - means) < 4 * se)
@@ -71,8 +74,48 @@ class TestGaussianPerturbation:
     def test_draws_deterministic_and_independent(self, small_setup):
         sys_, _, h0 = small_setup
         pert = GaussianPerturbation(sigma=0.05, means=np.zeros(sys_.dim), seed=9, h0=h0)
-        assert np.array_equal(pert.draw_values(3), pert.draw_values(3))
-        assert not np.array_equal(pert.draw_values(3), pert.draw_values(4))
+        assert np.array_equal(pert.draw_values(range(3, 4)), pert.draw_values(range(3, 4)))
+        # a member's row does not depend on the range it is drawn in
+        assert np.array_equal(pert.draw_values(range(3, 4))[0],
+                              pert.draw_values(range(1, 5))[2])
+        assert not np.array_equal(pert.draw_values(range(3, 4))[0],
+                                  pert.draw_values(range(4, 5))[0])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None, True])
+    def test_seed_must_be_non_negative_integer(self, small_setup, seed):
+        sys_, _, h0 = small_setup
+        with pytest.raises(ValueError, match="seed"):
+            GaussianPerturbation(sigma=0.05, means=np.zeros(sys_.dim), seed=seed, h0=h0)
+
+    def test_numpy_integer_seed_is_stored_as_int(self, small_setup):
+        sys_, _, h0 = small_setup
+        pert = GaussianPerturbation(sigma=0.05, means=np.zeros(sys_.dim), seed=np.int64(9),
+                                    h0=h0)
+        assert type(pert.seed) is int and pert.seed == 9
+
+    def test_negative_member_rejected(self, small_setup):
+        sys_, _, h0 = small_setup
+        pert = GaussianPerturbation(sigma=0.05, means=np.zeros(sys_.dim), seed=9, h0=h0)
+        with pytest.raises(ValueError, match="indices"):
+            pert.draw_values(range(-1, 2))
+
+    # one-word, multi-word and >= 2**128 entropies, and the sigma = 0 bypass
+    @pytest.mark.parametrize("seed, sigma", [
+        (seed, 0.05) for seed in (0, 1, 7, 2**31 - 1, 2**32, 2**32 + 5, 2**64 + 3,
+                                  2**127 + 11, 2**140 + 9, 12345678901234567890)
+    ] + [(3, 0.0)])
+    def test_block_draw_is_numpys_per_member_stream(self, small_setup, seed, sigma):
+        """Every row keeps the bits of the member's own SeedSequence route."""
+        sys_, _, h0 = small_setup
+        means = np.linspace(-1, 1, sys_.dim) * 0.01
+        pert = GaussianPerturbation(sigma=sigma, means=means, seed=seed, h0=h0)
+        starts = np.random.default_rng(seed % 2**32).integers(2, MAX_ENSEMBLE - 1, 6)
+        ranges = ([range(0, 2), range(MAX_ENSEMBLE - 1, MAX_ENSEMBLE), range(5, 3000, 331)]
+                  + [range(k, k + 2) for k in starts])
+        for members in ranges:
+            block = pert.draw_values(members)
+            oracle = np.array([seeded_values(pert, i) for i in members])
+            assert np.array_equal(block.view(np.int64), oracle.view(np.int64)), members
 
     def test_operator_is_diagonal_hermitian(self, small_setup):
         sys_, _, h0 = small_setup
@@ -236,6 +279,27 @@ class TestEchoExperiment:
         curve = echo_experiment(psi, h0, pert, [0.0, 5.0, 50.0], 100, sys_, grid)
         assert_allclose(curve.mean_overlap, 1.0, atol=1e-8)
 
+    def test_run_caps_checked_before_any_draw(self, monkeypatch):
+        def must_not_run(self, members):
+            raise AssertionError("a member was drawn before the run size was checked")
+
+        # the default four times at MAX_J with 500 members stay admitted
+        assert 500 * 4 * spincoarse.MAX_GRID_AXIS ** 2 <= MAX_RUN_EVALS
+        monkeypatch.setattr(GaussianPerturbation, "draw_values", must_not_run)
+        # at j = 1/2 the member-times cap fires: 9 nodes each, 8 B of overlaps
+        # per member-time; at j = 50 the evaluation cap, on few times
+        for j, times, cap in ((0.5, MAX_RUN_OVERLAPS // MAX_ENSEMBLE + 1, "member-times"),
+                              (50, 7, "evaluations")):
+            sys_ = SpinSystem(j)
+            grid = SphereGrid.for_spin(sys_)
+            h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=1)
+            pert = GaussianPerturbation(sigma=0.01 * h0.min_spacing, means=np.zeros(sys_.dim),
+                                        seed=2, h0=h0)
+            psi = coherent_state(sys_, SolidAngle(0.9, 0.2))
+            with pytest.raises(ValueError, match=cap):
+                echo_experiment(psi, h0, pert, np.arange(times, dtype=float), MAX_ENSEMBLE,
+                                sys_, grid)
+
     def test_minimum_ensemble(self, echo_run):
         sys_, grid, h0, pert, psi, _ = echo_run
         with pytest.raises(ValueError):
@@ -261,7 +325,7 @@ def reference_echo(psi, h0, pert, times, ensemble_size, sys_, grid):
     q_before = q_function_pure(psi, sys_, grid)
     weighted_before = grid.weights * np.sqrt(q_before.values)
     norm = (2 * sys_.j + 1) / (4 * np.pi)
-    values = np.array([pert.draw_values(member) for member in range(ensemble_size)])
+    values = np.array([seeded_values(pert, member) for member in range(ensemble_size)])
     overlaps = np.empty((ensemble_size, times.size))
     for it, t in enumerate(times):
         members = np.exp(1j * values * t) * psi.amplitudes
@@ -460,7 +524,7 @@ class TestNonFiniteInputs:
         pert = GaussianPerturbation(sigma=0.01, means=np.zeros(sys_.dim), seed=0, h0=h0)
         psi = coherent_state(sys_, SolidAngle(0.9, 0.2))
 
-        def must_not_run(self, index):
+        def must_not_run(self, members):
             raise AssertionError("a member was drawn")
 
         monkeypatch.setattr(GaussianPerturbation, "draw_values", must_not_run)
