@@ -24,11 +24,11 @@ from .qcore import StateVector, owned
 from .spincoarse import (SphereGrid, SpinSystem, _coherent_magnitudes, _mixture_q,
                          _node_overlaps, q_function_pure)
 
-#: most member-time-node evaluations per run, the time bound: ~60 ns each at
+#: most member-time-node evaluations per run, the time bound: ~65 ns each at
 #: j = 500 on one CPU and on two (one state's overlaps exceed the chunk budget,
-#: so one thread runs) and 12-30 ns at j = 5 to 200 (14-28 ns on one CPU), so
-#: a capped run takes ~2 min at most; it admits the default four times at MAX_J
-#: with 500 members
+#: so one thread runs), ~24 ns at j = 200 (one thread from j = 90) and 13-19 ns
+#: at j = 10 and 50 on one CPU (9-17 ns on two), so a capped run takes ~2.3 min
+#: at most; it admits the default four times at MAX_J with 500 members
 MAX_RUN_EVALS = 2**31
 #: most member-times per run, the memory bound: the members x times overlaps
 #: (8 B each) stay within 128 MiB on any grid, where MAX_RUN_EVALS alone would
@@ -36,9 +36,9 @@ MAX_RUN_EVALS = 2**31
 #: costs 1.3-2.7 us on one or two CPUs, ~45 s for a capped run
 MAX_RUN_OVERLAPS = 2**24
 #: largest echo ensemble, a memory bound (MAX_RUN_EVALS bounds the time): the
-#: members' level shifts (8 B per member-level) and one time's member states
-#: (16 B) take 0.07 and 0.13 GB at this size up to j = 127, the largest spin
-#: whose grid MAX_RUN_EVALS admits for every member at one time
+#: members' level shifts (8 B per member-level) take 67 MB at this size up to
+#: j = 127, the largest spin whose grid MAX_RUN_EVALS admits for every member
+#: at one time; member states exist only one kernel chunk per thread at a time
 MAX_ENSEMBLE = 2**15
 SIGMA_BYPASS = 1e-15  # below this the ensemble collapses onto its means exactly
 SIGMA_SPACING_FACTOR = 0.2  # "spread well below the level spacing", made operational
@@ -254,13 +254,14 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     curve exp(-(sigma t)^2 / 4). The diagonal level pairs escape that damping,
     so the mean overlap levels off above it; the exact ensemble-averaged
     Q-function is `averaged_q_formula`. Member states are pure phase profiles
-    e^{iVt} * psi on the Dicke amplitudes; for each time the whole ensemble
-    goes through the separable Q evaluation, one Bhattacharyya value per
-    member, reduced in place in the kernel's scratch overlaps on the threads
-    the kernel runs; a member's value does not depend on which thread
-    evaluated it. When every member equals the first, as at t = 0 or with
-    sigma below SIGMA_BYPASS, one member is evaluated and its value copied to
-    all.
+    e^{iVt} * psi on the Dicke amplitudes. One threaded pass of the separable
+    Q evaluation runs over the (member, time) pairs in member-major order:
+    each thread forms its chunk's states from the members' level shifts and
+    reduces their Q-functions to one Bhattacharyya value per pair in the
+    kernel's scratch overlaps, so no ensemble-sized complex array exists, and
+    a pair's value does not depend on which thread evaluated it. At t = 0, and
+    at every t when sigma is below SIGMA_BYPASS, every member is the same
+    state: member 0 alone is evaluated there and its value copied to all.
     """
     times = owned(times, float)
     _check_times(times)
@@ -281,23 +282,39 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     norm = (2 * sys.j + 1) / (4 * np.pi)
     values = pert.draw_values(range(ensemble_size))
 
+    # every member is one state at t = 0, and at every t when sigma < SIGMA_BYPASS
+    once = (times == 0.0) | (pert.sigma < SIGMA_BYPASS)
+    columns = np.concatenate([np.flatnonzero(once), np.flatnonzero(~once)])
+    n_once = int(once.sum())
+    n_each = max(1, times.size - n_once)  # 1 keeps the unused divisions defined
+    count = n_once + ensemble_size * (times.size - n_once)
+
+    def pairs(chunk: slice):
+        """Members and time columns of the pairs in `chunk`: member 0 at the
+        `once` times, then every member at the other times, member-major."""
+        index = np.arange(chunk.start, chunk.stop)
+        rest = index - n_once
+        member = np.where(rest < 0, 0, rest // n_each)
+        return member, columns[np.where(rest < 0, index, n_once + rest % n_each)]
+
+    def states(chunk: slice) -> np.ndarray:
+        member, column = pairs(chunk)
+        phases = 1j * values[member]
+        phases *= times[column, None]
+        np.exp(phases, out=phases)
+        phases *= psi.amplitudes
+        return phases
+
     overlaps = np.empty((ensemble_size, times.size))
-    for it, t in enumerate(times):
-        members = np.exp(1j * values * t) * psi.amplitudes
-        # all members are one state at t = 0, and at every t when sigma < SIGMA_BYPASS
-        same = bool(np.all(members == members[0]))
-        if same:
-            members = members[:1]
 
-        def reduce_members(chunk: slice, q_after: np.ndarray) -> None:
-            q_after *= norm
-            np.sqrt(q_after, out=q_after)
-            q_after *= weighted_before
-            overlaps[chunk, it] = np.sum(q_after, axis=1)
+    def reduce_pairs(chunk: slice, q_after: np.ndarray) -> None:
+        q_after *= norm
+        np.sqrt(q_after, out=q_after)
+        q_after *= weighted_before
+        overlaps[pairs(chunk)] = np.sum(q_after, axis=1)
 
-        _node_overlaps(sys, grid, members, len(members), reduce_members)
-        if same:
-            overlaps[1:, it] = overlaps[0, it]
+    _node_overlaps(sys, grid, count, states, count, reduce_pairs)
+    overlaps[1:, once] = overlaps[0, once]
     np.clip(overlaps, 0.0, 1.0, out=overlaps)
 
     mean = overlaps.mean(axis=0)

@@ -22,9 +22,13 @@ MAX_GRID_AXIS = 2 * MAX_J + 2  # nodes per axis of the default grid of the large
 Q_NORM_TOL = 1e-8
 BHATTACHARYYA_EXCESS_TOL = 1e-8
 # complex node overlaps held at once, which bounds the peak memory of a Q
-# evaluation; 512 KiB (768 KiB of chunk buffers with the real |.|^2) was the
-# fastest echo budget between 128 KiB and 8 MiB on a core with 4 MiB of L2
-OVERLAP_CHUNK_BYTES = 512 * 2**10
+# evaluation (1.5 MiB of chunk buffers with the real |.|^2). Nine in-process
+# rounds of the echo benchmark's two runs (j = 10 x 5000, j = 50 x 1000) on
+# two CPUs took a median 685, 542, 400, 353 and 343 ms at 256 KiB to 4 MiB,
+# doubling each step: past 1 MiB the gain shrinks while the buffers, 1.5
+# budgets when filled, keep doubling. Two states fit up to j = 89.5, so one
+# thread runs from j = 90; one state exceeds the budget from j = 127.5
+OVERLAP_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -217,10 +221,10 @@ def _check_order(sys: SpinSystem, grid: SphereGrid):
             f"grid exactness order {grid.exactness_order} below the spin band limit {band}")
 
 
-def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, most: int,
+def _node_overlaps(sys: SpinSystem, grid: SphereGrid, count: int, states, most: int,
                    reduce) -> None:
     """reduce(chunk, overlaps) with |<Omega|psi_k>|^2 at every grid node for
-    the rows psi_k = states[chunk], over consecutive chunks of `states`.
+    the rows psi_k = states(chunk), over consecutive chunks of range(count).
 
     On the product grid <Omega|psi> = e^{-ij phi} sum_m d_m(theta) psi_m
     e^{i(j+m) phi} with the real d_m(theta) = |<m|theta, 0>|, so each theta-row
@@ -231,7 +235,9 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, most: 
     The chunks run on up to `most` threads side by side, each taking the next
     chunk when it is ready for one (`parallel.run_shared`): no more threads
     than states fit in OVERLAP_CHUNK_BYTES, which they share, at least one
-    state a chunk. Each thread reuses one zero-padded complex buffer and one
+    state a chunk. `states` is called on the thread that evaluates the chunk,
+    so a caller can form each chunk's states there instead of holding all of
+    them at once. Each thread reuses one zero-padded complex buffer and one
     real buffer: the overlaps passed to `reduce` are scratch space that the
     thread's next chunk overwrites, so `reduce` copies or reduces them (in
     place if it likes), and with `most` > 1 writes only where no other chunk
@@ -244,15 +250,15 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, most: 
     _check_order(sys, grid)
     table = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
     fit = OVERLAP_CHUNK_BYTES // (16 * grid.size)  # 0 where one state's overlaps exceed it
-    threads = workers(len(states), min(most, max(1, fit)))
-    step = max(1, min(len(states), fit // threads))
+    threads = workers(count, min(most, max(1, fit)))
+    step = max(1, min(count, fit // threads))
 
     def run(starts) -> None:
         padded = np.zeros((step, grid.n_theta, grid.n_phi), dtype=complex)
         overlaps = np.empty((step, grid.size))
         for start in starts:
-            chunk = slice(start, start + step)
-            block = states[chunk]
+            chunk = slice(start, min(start + step, count))
+            block = states(chunk)
             rows, out = padded[:len(block)], overlaps[:len(block)]
             np.multiply(table, block[:, None, :], out=rows[..., :sys.dim])
             rows[..., sys.dim:] = 0.0  # the previous chunk's transform overwrote the padding
@@ -260,7 +266,7 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, states: np.ndarray, most: 
             np.abs(rows.reshape(len(block), -1), out=out)
             reduce(chunk, np.square(out, out=out))
 
-    run_shared(run, range(0, len(states), step), threads)
+    run_shared(run, range(0, count, step), threads)
 
 
 def _mixture_q(sys: SpinSystem, grid: SphereGrid, weights: np.ndarray,
@@ -272,7 +278,7 @@ def _mixture_q(sys: SpinSystem, grid: SphereGrid, weights: np.ndarray,
         nonlocal total
         total = total + weights[chunk] @ overlaps
 
-    _node_overlaps(sys, grid, states, 1, add)
+    _node_overlaps(sys, grid, len(states), states.__getitem__, 1, add)
     return (2 * sys.j + 1) / (4 * pi) * total
 
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fapplab
 from fapplab import (bell as bell_mod, echo as echo_mod, friend as friend_mod, qcore,
                      reversal as rev_mod)
 from fapplab.cli import EXPERIMENTS, PARAM_TABLE, main, parse_config_file, resolve_config
@@ -431,3 +434,14 @@ def test_any_config_ends_in_a_documented_exit_code(config, seed):
                      "--out", out])
         assert code in (0, 2, 3, 4)
         assert os.path.exists(out) == (code == 0)
+
+
+def test_cli_import_leaves_numpy_random_and_fft_unloaded():
+    # numpy loads both on first use; the import of numpy.random alone took
+    # 8-12 ms, so a run that draws or transforms nothing never pays for them
+    src = os.path.dirname(os.path.dirname(fapplab.__file__))
+    code = ("import sys, fapplab.cli\n"
+            "print(*[m for m in ('numpy.random', 'numpy.fft') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    assert done.stdout.strip() == ""

@@ -384,31 +384,54 @@ class TestEchoBuffers:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_any_cpu_count_matches_reference_loop_bits(self, setup, cpus, monkeypatch):
-        # 100 members: 16 states a chunk on 3 threads, so the last chunk holds
-        # 4, and 6 a chunk on 8 threads, so it holds 4 again
+        # 96 states fit the budget at j = 12: 32 a chunk on 3 threads and 12
+        # on 8, so with t = 0 the last chunk of 301 pairs holds 13 and 1
         monkeypatch.setattr(parallel, "CPUS", cpus)
         curve = echo_experiment(*setup)
         mean, std_error = reference_echo(*setup)
         assert np.array_equal(curve.mean_overlap, mean)
         assert np.array_equal(curve.std_error, std_error)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_chunks_ending_inside_a_member_match_reference_loop_bits(self, setup, cpus,
+                                                                     monkeypatch):
+        # 7 states a chunk on every thread, against 3 evaluated times per
+        # member: most chunks start and end partway through a member's times
+        grid = setup[-1]
+        monkeypatch.setattr(parallel, "CPUS", cpus)
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", 16 * grid.size * 7 * cpus)
+        sizes = []
+
+        def sizing(sys_, grid_, count, states, most, reduce):
+            def sized(chunk):
+                sizes.append(len(range(count)[chunk]))
+                return states(chunk)
+            return spincoarse._node_overlaps(sys_, grid_, count, sized, most, reduce)
+
+        monkeypatch.setattr(echo_mod, "_node_overlaps", sizing)
+        curve = echo_experiment(*setup)
+        mean, std_error = reference_echo(*setup)
+        assert max(sizes) == min(7, sum(sizes))  # sigma = 0 evaluates 4 pairs in all
+        assert np.array_equal(curve.mean_overlap, mean)
+        assert np.array_equal(curve.std_error, std_error)
+
     def test_one_member_evaluated_when_all_are_equal(self, setup, monkeypatch):
         rows = []
 
-        def counting(sys_, grid, states, most, reduce):
-            rows.append(len(states))
-            return spincoarse._node_overlaps(sys_, grid, states, most, reduce)
+        def counting(sys_, grid, count, states, most, reduce):
+            rows.append(count)
+            return spincoarse._node_overlaps(sys_, grid, count, states, most, reduce)
 
         monkeypatch.setattr(echo_mod, "_node_overlaps", counting)
         psi, h0, pert, times, ensemble, sys_, grid = setup
         echo_experiment(*setup)
         bypass = pert.sigma < echo_mod.SIGMA_BYPASS
-        assert rows == [1 if (t == 0.0 or bypass) else ensemble for t in times]
+        # one pass over every evaluated (member, time) pair
+        assert rows == [sum(1 if (t == 0.0 or bypass) else ensemble for t in times)]
 
-    def test_memory_peak_bounded_by_chunk_budget(self, monkeypatch):
-        # j = 50, 300 members: the two chunk buffers (complex overlaps and
-        # their real |.|^2) plus a few member-sized arrays; a kernel that
-        # allocates its 8 MiB chunks afresh peaks near 29 MiB here
+    @staticmethod
+    def j50_run(ensemble):
+        """echo_experiment at j = 50 on four times, 0 to 4/sigma."""
         sys_ = SpinSystem(50)
         grid = SphereGrid.for_spin(sys_)
         h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=1)
@@ -416,19 +439,50 @@ class TestEchoBuffers:
         pert = GaussianPerturbation(sigma=sigma, means=np.zeros(sys_.dim), seed=2, h0=h0)
         psi = coherent_state(sys_, SolidAngle(1.0, 0.3))
         times = np.array([0.0, 1 / sigma, 2 / sigma, 4 / sigma])
-        ensemble = 300
-        members_bytes = ensemble * sys_.dim * 16
-        bound = 2 * spincoarse.OVERLAP_CHUNK_BYTES + 6 * members_bytes
+        return psi, h0, pert, times, ensemble, sys_, grid
+
+    @staticmethod
+    def traced_peak(args) -> int:
+        tracemalloc.start()
+        try:
+            echo_experiment(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_memory_peak_bounded_by_chunk_budget(self, monkeypatch):
+        # j = 50, 300 members: the members' level shifts (8 B a member-level),
+        # the threads' chunk buffers (complex overlaps and their real |.|^2,
+        # 1.5 budgets, the other half covering the table and the Q-function
+        # before) and each thread's numpy iterator buffers for the table
+        # product (3 x 8192 complex entries); forming one time's member
+        # states all at once adds 16 B a member-level
+        args = self.j50_run(300)
+        psi, h0, pert, times, ensemble, sys_, grid = args
+        fit = spincoarse.OVERLAP_CHUNK_BYTES // (16 * grid.size)
+        values_bytes = ensemble * sys_.dim * 8
         for cpus in range(1, 9):  # the threads share the chunk budget
             monkeypatch.setattr(parallel, "CPUS", cpus)
-            tracemalloc.start()
-            try:
-                echo_experiment(psi, h0, pert, times, ensemble, sys_, grid)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            bound = (values_bytes + 2 * spincoarse.OVERLAP_CHUNK_BYTES
+                     + min(cpus, fit) * 3 * 8192 * 16)
+            peak = self.traced_peak(args)
             assert peak < bound, (f"{cpus} CPUs: peak {peak / 2**20:.2f} MiB, "
                                   f"bound {bound / 2**20:.2f} MiB")
+
+    def test_memory_grows_by_level_shifts_and_overlaps_alone(self, monkeypatch):
+        # each further member adds its level shifts and its overlaps, 8 B a
+        # level and 8 B a time, and no member states: the peak at 1200 members
+        # exceeds the peak at 300 by at most that, plus one thread's iterator
+        # buffers, which the two threads hold at once in some runs and not in
+        # others
+        monkeypatch.setattr(parallel, "CPUS", 2)
+        small, large = self.j50_run(300), self.j50_run(1200)
+        sys_, times = small[5], small[3]
+        bound = 900 * (8 * sys_.dim + 8 * times.size) + 3 * 8192 * 16
+        growth = self.traced_peak(large) - self.traced_peak(small)
+        assert growth <= bound, (f"peak grows by {growth / 2**10:.0f} KiB, "
+                                 f"bound {bound / 2**10:.0f} KiB")
 
 
 class TestAveragedQFormula:

@@ -330,7 +330,7 @@ class TestOverlapBuffers:
             chunks.append(chunk)
             out[chunk] = overlaps   # copied: the kernel's array is scratch space
 
-        _node_overlaps(self.SYS, self.GRID, states, most, copy)
+        _node_overlaps(self.SYS, self.GRID, len(states), states.__getitem__, most, copy)
         return out, chunks
 
     @pytest.fixture
