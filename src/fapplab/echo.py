@@ -24,11 +24,12 @@ from .qcore import StateVector, owned
 from .spincoarse import (SphereGrid, SpinSystem, _coherent_magnitudes, _mixture_q,
                          _node_overlaps, q_function_pure)
 
-#: most member-time-node evaluations per run, the time bound: ~65 ns each at
-#: j = 500 on one CPU and on two (one state's overlaps exceed the chunk budget,
-#: so one thread runs), ~24 ns at j = 200 (one thread from j = 90) and 13-19 ns
-#: at j = 10 and 50 on one CPU (9-17 ns on two), so a capped run takes ~2.3 min
-#: at most; it admits the default four times at MAX_J with 500 members
+#: most member-time-node evaluations per run, the time bound: 70-85 ns each
+#: at j = 500 on one CPU and on two (one state's overlaps exceed the chunk
+#: budget, so one thread runs), 25-36 ns at j = 200 (one thread from j = 63.5)
+#: and 15-26 ns at j = 10 and 50 on one CPU (19-31 ns on two, on a shared
+#: host), so a capped run takes ~3 min at most; it admits the default four
+#: times at MAX_J with 500 members
 MAX_RUN_EVALS = 2**31
 #: most member-times per run, the memory bound: the members x times overlaps
 #: (8 B each) stay within 128 MiB on any grid, where MAX_RUN_EVALS alone would

@@ -22,13 +22,14 @@ MAX_GRID_AXIS = 2 * MAX_J + 2  # nodes per axis of the default grid of the large
 Q_NORM_TOL = 1e-8
 BHATTACHARYYA_EXCESS_TOL = 1e-8
 # complex node overlaps held at once, which bounds the peak memory of a Q
-# evaluation (1.5 MiB of chunk buffers with the real |.|^2). Nine in-process
+# evaluation (768 KiB of chunk buffers with the real |.|^2). Nine in-process
 # rounds of the echo benchmark's two runs (j = 10 x 5000, j = 50 x 1000) on
 # two CPUs took a median 685, 542, 400, 353 and 343 ms at 256 KiB to 4 MiB,
-# doubling each step: past 1 MiB the gain shrinks while the buffers, 1.5
-# budgets when filled, keep doubling. Two states fit up to j = 89.5, so one
-# thread runs from j = 90; one state exceeds the budget from j = 127.5
-OVERLAP_CHUNK_BYTES = 2**20
+# doubling each step, but each doubling adds ~0.75 MB of chunk buffers at two
+# threads, and larger budgets let more threads run, each with its buffers.
+# Two states fit up to j = 63, so one thread runs from j = 63.5; one state
+# exceeds the budget from j = 90
+OVERLAP_CHUNK_BYTES = 512 * 2**10
 
 
 @dataclass(frozen=True)

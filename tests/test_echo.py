@@ -443,6 +443,7 @@ class TestEchoBuffers:
 
     @staticmethod
     def traced_peak(args) -> int:
+        echo_experiment(*args)  # untraced first, so lazy imports stay out of the peak
         tracemalloc.start()
         try:
             echo_experiment(*args)
@@ -454,18 +455,21 @@ class TestEchoBuffers:
     def test_memory_peak_bounded_by_chunk_budget(self, monkeypatch):
         # j = 50, 300 members: the members' level shifts (8 B a member-level),
         # the threads' chunk buffers (complex overlaps and their real |.|^2,
-        # 1.5 budgets, the other half covering the table and the Q-function
-        # before) and each thread's numpy iterator buffers for the table
-        # product (3 x 8192 complex entries); forming one time's member
-        # states all at once adds 16 B a member-level
+        # 1.5 budgets), each thread's numpy iterator buffers for the table
+        # product (3 x 8192 complex entries) and four grid-sized real arrays
+        # for the magnitude table, psi's Q-function and the run's overlaps;
+        # forming one time's member states all at once adds 16 B a
+        # member-level. The bound stays below the 2 budgets + 6 x 16 B per
+        # member-level that held while those states were formed
         args = self.j50_run(300)
         psi, h0, pert, times, ensemble, sys_, grid = args
         fit = spincoarse.OVERLAP_CHUNK_BYTES // (16 * grid.size)
         values_bytes = ensemble * sys_.dim * 8
         for cpus in range(1, 9):  # the threads share the chunk budget
             monkeypatch.setattr(parallel, "CPUS", cpus)
-            bound = (values_bytes + 2 * spincoarse.OVERLAP_CHUNK_BYTES
-                     + min(cpus, fit) * 3 * 8192 * 16)
+            bound = (values_bytes + 3 * spincoarse.OVERLAP_CHUNK_BYTES // 2
+                     + min(cpus, fit) * 3 * 8192 * 16 + 4 * 8 * grid.size)
+            assert bound < 2 * spincoarse.OVERLAP_CHUNK_BYTES + 6 * 16 * ensemble * sys_.dim
             peak = self.traced_peak(args)
             assert peak < bound, (f"{cpus} CPUs: peak {peak / 2**20:.2f} MiB, "
                                   f"bound {bound / 2**20:.2f} MiB")
