@@ -292,11 +292,18 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
 
     def pairs(chunk: slice):
         """Members and time columns of the pairs in `chunk`: member 0 at the
-        `once` times, then every member at the other times, member-major."""
+        `once` times, then every member at the other times, member-major. A
+        one-pair chunk, the kernel's chunk wherever the budget holds no more
+        than one state per thread (from j = 44.5 on two CPUs, j = 63.5 on
+        one), gets slices, which index without building index arrays under
+        the interpreter lock."""
+        if chunk.stop - chunk.start == 1:
+            member = max(chunk.start - n_once, 0) // n_each
+            column = columns[chunk.start - n_each * member]
+            return slice(member, member + 1), slice(column, column + 1)
         index = np.arange(chunk.start, chunk.stop)
-        rest = index - n_once
-        member = np.where(rest < 0, 0, rest // n_each)
-        return member, columns[np.where(rest < 0, index, n_once + rest % n_each)]
+        member = np.maximum(index - n_once, 0) // n_each
+        return member, columns[index - n_each * member]
 
     def states(chunk: slice) -> np.ndarray:
         member, column = pairs(chunk)
@@ -312,7 +319,7 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
         q_after *= norm
         np.sqrt(q_after, out=q_after)
         q_after *= weighted_before
-        overlaps[pairs(chunk)] = np.sum(q_after, axis=1)
+        overlaps[pairs(chunk)] = q_after.sum(axis=1)
 
     _node_overlaps(sys, grid, count, states, count, reduce_pairs)
     overlaps[1:, once] = overlaps[0, once]

@@ -392,14 +392,17 @@ class TestEchoBuffers:
         assert np.array_equal(curve.mean_overlap, mean)
         assert np.array_equal(curve.std_error, std_error)
 
+    @pytest.mark.parametrize("per_chunk", [1, 7])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_chunks_ending_inside_a_member_match_reference_loop_bits(self, setup, cpus,
-                                                                     monkeypatch):
+                                                                     per_chunk, monkeypatch):
         # 7 states a chunk on every thread, against 3 evaluated times per
-        # member: most chunks start and end partway through a member's times
+        # member: most chunks start and end partway through a member's times;
+        # one state a chunk takes the one-pair slices on every thread
         grid = setup[-1]
         monkeypatch.setattr(parallel, "CPUS", cpus)
-        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", 16 * grid.size * 7 * cpus)
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES",
+                            16 * grid.size * per_chunk * cpus)
         sizes = []
 
         def sizing(sys_, grid_, count, states, most, reduce):
@@ -411,7 +414,8 @@ class TestEchoBuffers:
         monkeypatch.setattr(echo_mod, "_node_overlaps", sizing)
         curve = echo_experiment(*setup)
         mean, std_error = reference_echo(*setup)
-        assert max(sizes) == min(7, sum(sizes))  # sigma = 0 evaluates 4 pairs in all
+        threads = min(cpus, sum(sizes))  # sigma = 0 evaluates 4 pairs in all
+        assert max(sizes) == min(sum(sizes), per_chunk * cpus // threads)
         assert np.array_equal(curve.mean_overlap, mean)
         assert np.array_equal(curve.std_error, std_error)
 
