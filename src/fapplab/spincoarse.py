@@ -24,7 +24,7 @@ BHATTACHARYYA_EXCESS_TOL = 1e-8
 # complex node overlaps held at once, which bounds the peak memory of a Q
 # evaluation (768 KiB of chunk buffers with the real |.|^2). Nine in-process
 # rounds of the echo benchmark's two runs (j = 10 x 5000, j = 50 x 1000) on
-# two CPUs took a median 685, 542, 400, 353 and 343 ms at 256 KiB to 4 MiB,
+# two CPUs took a median 615, 453, 395, 329 and 324 ms at 256 KiB to 4 MiB,
 # doubling each step, but each doubling adds ~0.75 MB of chunk buffers at two
 # threads, and larger budgets let more threads run, each with its buffers.
 # Two states fit up to j = 63, so one thread runs from j = 63.5; one state
