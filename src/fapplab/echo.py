@@ -24,12 +24,11 @@ from .qcore import StateVector, owned
 from .spincoarse import (SphereGrid, SpinSystem, _coherent_magnitudes, _mixture_q,
                          _node_overlaps, q_function_pure)
 
-#: most member-time-node evaluations per run, the time bound: 70-85 ns each
-#: at j = 500 on one CPU and on two (one state's overlaps exceed the chunk
-#: budget, so one thread runs), 25-36 ns at j = 200 (one thread from j = 63.5)
-#: and 15-26 ns at j = 10 and 50 on one CPU (19-31 ns on two, on a shared
-#: host), so a capped run takes ~3 min at most; it admits the default four
-#: times at MAX_J with 500 members
+#: most member-time-node evaluations per run, the time bound: 61-65 ns each
+#: at j = 500 and 23-39 ns at j = 200, on one CPU and on two (one thread runs
+#: from j = 90, where two states' overlaps exceed the chunk budget), and 12-23
+#: ns at j = 10 and 50 on either, on a shared host, so a capped run takes
+#: ~2.5 min at most; it admits the default four times at MAX_J with 500 members
 MAX_RUN_EVALS = 2**31
 #: most member-times per run, the memory bound: the members x times overlaps
 #: (8 B each) stay within 128 MiB on any grid, where MAX_RUN_EVALS alone would
@@ -256,7 +255,7 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     so the mean overlap levels off above it; the exact ensemble-averaged
     Q-function is `averaged_q_formula`. Member states are pure phase profiles
     e^{iVt} * psi on the Dicke amplitudes. One threaded pass of the separable
-    Q evaluation runs over the (member, time) pairs in member-major order:
+    Q evaluation runs over the (member, time) pairs in time-major order:
     each thread forms its chunk's states from the members' level shifts and
     reduces their Q-functions to one Bhattacharyya value per pair in the
     kernel's scratch overlaps, so no ensemble-sized complex array exists, and
@@ -287,23 +286,23 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     once = (times == 0.0) | (pert.sigma < SIGMA_BYPASS)
     columns = np.concatenate([np.flatnonzero(once), np.flatnonzero(~once)])
     n_once = int(once.sum())
-    n_each = max(1, times.size - n_once)  # 1 keeps the unused divisions defined
     count = n_once + ensemble_size * (times.size - n_once)
 
     def pairs(chunk: slice):
         """Members and time columns of the pairs in `chunk`: member 0 at the
-        `once` times, then every member at the other times, member-major. A
-        one-pair chunk, the kernel's chunk wherever the budget holds no more
-        than one state per thread (from j = 44.5 on two CPUs, j = 63.5 on
-        one), gets slices, which index without building index arrays under
-        the interpreter lock."""
-        if chunk.stop - chunk.start == 1:
-            member = max(chunk.start - n_once, 0) // n_each
-            column = columns[chunk.start - n_each * member]
-            return slice(member, member + 1), slice(column, column + 1)
-        index = np.arange(chunk.start, chunk.stop)
-        member = np.maximum(index - n_once, 0) // n_each
-        return member, columns[index - n_each * member]
+        `once` times, then every member at each other time, time-major. A
+        chunk inside one time gets a member slice and its column, which index
+        without building index arrays under the interpreter lock; only the
+        chunks that cross a time or hold `once` pairs build them."""
+        first, last = chunk.start - n_once, chunk.stop - 1 - n_once
+        if first >= 0 and first // ensemble_size == last // ensemble_size:
+            member = first % ensemble_size
+            return (slice(member, member + last - first + 1),
+                    columns[n_once + first // ensemble_size])
+        index = np.arange(first, last + 1)
+        later = index >= 0
+        return (np.where(later, index % ensemble_size, 0),
+                columns[n_once + np.where(later, index // ensemble_size, index)])
 
     def states(chunk: slice) -> np.ndarray:
         member, column = pairs(chunk)

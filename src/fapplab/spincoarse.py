@@ -22,14 +22,14 @@ MAX_GRID_AXIS = 2 * MAX_J + 2  # nodes per axis of the default grid of the large
 Q_NORM_TOL = 1e-8
 BHATTACHARYYA_EXCESS_TOL = 1e-8
 # complex node overlaps held at once, which bounds the peak memory of a Q
-# evaluation (768 KiB of chunk buffers with the real |.|^2). Nine in-process
-# rounds of the echo benchmark's two runs (j = 10 x 5000, j = 50 x 1000) on
-# two CPUs took a median 615, 453, 395, 329 and 324 ms at 256 KiB to 4 MiB,
-# doubling each step, but each doubling adds ~0.75 MB of chunk buffers at two
-# threads, and larger budgets let more threads run, each with its buffers.
-# Two states fit up to j = 63, so one thread runs from j = 63.5; one state
-# exceeds the budget from j = 90
-OVERLAP_CHUNK_BYTES = 512 * 2**10
+# evaluation (1.5 MiB of chunk buffers with the real |.|^2). Two in-process
+# sweeps of nine rounds of the echo benchmark's two runs (j = 10 x 5000,
+# j = 50 x 1000) on two CPUs took medians of 685-725, 441-452, 362-445,
+# 322-347 and 350-360 ms at 256 KiB to 4 MiB, doubling each step; each
+# doubling adds 1.5 old budgets of chunk buffers, and lets more threads run.
+# Two states fit up to j = 89.5, so one thread runs from j = 90; one state
+# exceeds the budget from j = 127.5
+OVERLAP_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -238,33 +238,39 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, count: int, states, most: 
     than states fit in OVERLAP_CHUNK_BYTES, which they share, at least one
     state a chunk. `states` is called on the thread that evaluates the chunk,
     so a caller can form each chunk's states there instead of holding all of
-    them at once. Each thread reuses one zero-padded complex buffer and one
-    real buffer: the overlaps passed to `reduce` are scratch space that the
-    thread's next chunk overwrites, so `reduce` copies or reduces them (in
-    place if it likes), and with `most` > 1 writes only where no other chunk
-    writes. A caller that skips rows equal to others under `==` loses
+    them at once. The table is complex and zero past column 2j+1, and each
+    thread copies its chunk's states into zero-padded amplitude rows, so one
+    product of two complex arrays fills the whole transform buffer: no cast
+    of the table and no pass to clear the padding. Each thread reuses its
+    amplitude rows, one complex and one real buffer: the overlaps passed to
+    `reduce` are scratch space that the thread's next chunk overwrites, so
+    `reduce` copies or reduces them (in place if it likes), and with `most`
+    > 1 writes only where no other chunk writes. A caller that skips rows equal to others under `==` loses
     nothing: +0 and -0 compare equal, and the sign of a zero cannot change
     |<Omega|psi>|^2.
     """
     # the order check guarantees n_phi >= 2j+1; below that ifft would silently
     # truncate the m-sum instead of raising
     _check_order(sys, grid)
-    table = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
+    table = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
+    table[:, :sys.dim] = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
     fit = OVERLAP_CHUNK_BYTES // (16 * grid.size)  # 0 where one state's overlaps exceed it
     threads = workers(count, min(most, max(1, fit)))
     step = max(1, min(count, fit // threads))
 
     def run(starts) -> None:
-        padded = np.zeros((step, grid.n_theta, grid.n_phi), dtype=complex)
+        amplitudes = np.zeros((step, grid.n_phi), dtype=complex)
+        transform = np.empty((step, grid.n_theta, grid.n_phi), dtype=complex)
         overlaps = np.empty((step, grid.size))
         for start in starts:
             chunk = slice(start, min(start + step, count))
             block = states(chunk)
-            rows, out = padded[:len(block)], overlaps[:len(block)]
-            np.multiply(table, block[:, None, :], out=rows[..., :sys.dim])
-            rows[..., sys.dim:] = 0.0  # the previous chunk's transform overwrote the padding
+            k = len(block)
+            amplitudes[:k, :sys.dim] = block
+            rows, out = transform[:k], overlaps[:k]
+            np.multiply(table, amplitudes[:k, None, :], out=rows)
             np.fft.ifft(rows, axis=-1, norm="forward", out=rows)
-            np.abs(rows.reshape(len(block), -1), out=out)
+            np.abs(rows.reshape(k, -1), out=out)
             reduce(chunk, np.square(out, out=out))
 
     run_shared(run, range(0, count, step), threads)

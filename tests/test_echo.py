@@ -419,6 +419,38 @@ class TestEchoBuffers:
         assert np.array_equal(curve.mean_overlap, mean)
         assert np.array_equal(curve.std_error, std_error)
 
+    @pytest.mark.parametrize("ensemble", [100, 150])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_chunks_crossing_a_time_match_reference_loop_bits(self, setup, cpus, ensemble,
+                                                             monkeypatch):
+        # 7 states a chunk on every thread, against 100 and 150 members a
+        # time: the first chunk holds the pair at t = 0 and members of the
+        # next time, and each time's last chunk runs into the next time's
+        # members, so those chunks index with arrays and the rest with slices
+        psi, h0, pert, times, _, sys_, grid = setup
+        args = psi, h0, pert, times, ensemble, sys_, grid
+        monkeypatch.setattr(parallel, "CPUS", cpus)
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", 16 * grid.size * 7 * cpus)
+        chunks = []
+
+        def recording(sys_, grid_, count, states, most, reduce):
+            def recorded(chunk):
+                chunks.append(chunk)
+                return states(chunk)
+            return spincoarse._node_overlaps(sys_, grid_, count, recorded, most, reduce)
+
+        monkeypatch.setattr(echo_mod, "_node_overlaps", recording)
+        curve = echo_experiment(*args)
+        mean, std_error = reference_echo(*args)
+        once = int(np.sum((times == 0.0) | (pert.sigma < echo_mod.SIGMA_BYPASS)))
+        count = once + ensemble * (times.size - once)
+        starts = range(once, count, ensemble)  # where each time's members begin
+        crossing = [c for c in chunks if any(c.start < b < c.stop for b in starts)]
+        assert max(c.stop - c.start for c in chunks) == min(count, 7)
+        assert crossing or count == once  # sigma = 0 evaluates the 4 once pairs alone
+        assert np.array_equal(curve.mean_overlap, mean)
+        assert np.array_equal(curve.std_error, std_error)
+
     def test_one_member_evaluated_when_all_are_equal(self, setup, monkeypatch):
         rows = []
 
@@ -459,12 +491,12 @@ class TestEchoBuffers:
     def test_memory_peak_bounded_by_chunk_budget(self, monkeypatch):
         # j = 50, 300 members: the members' level shifts (8 B a member-level),
         # the threads' chunk buffers (complex overlaps and their real |.|^2,
-        # 1.5 budgets), each thread's numpy iterator buffers for the table
-        # product (3 x 8192 complex entries) and four grid-sized real arrays
-        # for the magnitude table, psi's Q-function and the run's overlaps;
-        # forming one time's member states all at once adds 16 B a
-        # member-level. The bound stays below the 2 budgets + 6 x 16 B per
-        # member-level that held while those states were formed
+        # 1.5 budgets), each thread's numpy iterator buffer for the table
+        # product (8192 complex entries) and five grid-sized real arrays for
+        # the complex table (two), the magnitude table, psi's Q-function and
+        # the run's overlaps; forming one time's member states all at once
+        # adds 16 B a member-level. The bound stays below the 2 budgets +
+        # 6 x 16 B per member-level that held while those states were formed
         args = self.j50_run(300)
         psi, h0, pert, times, ensemble, sys_, grid = args
         fit = spincoarse.OVERLAP_CHUNK_BYTES // (16 * grid.size)
@@ -472,7 +504,7 @@ class TestEchoBuffers:
         for cpus in range(1, 9):  # the threads share the chunk budget
             monkeypatch.setattr(parallel, "CPUS", cpus)
             bound = (values_bytes + 3 * spincoarse.OVERLAP_CHUNK_BYTES // 2
-                     + min(cpus, fit) * 3 * 8192 * 16 + 4 * 8 * grid.size)
+                     + min(cpus, fit) * 8192 * 16 + 5 * 8 * grid.size)
             assert bound < 2 * spincoarse.OVERLAP_CHUNK_BYTES + 6 * 16 * ensemble * sys_.dim
             peak = self.traced_peak(args)
             assert peak < bound, (f"{cpus} CPUs: peak {peak / 2**20:.2f} MiB, "
@@ -482,12 +514,12 @@ class TestEchoBuffers:
         # each further member adds its level shifts and its overlaps, 8 B a
         # level and 8 B a time, and no member states: the peak at 1200 members
         # exceeds the peak at 300 by at most that, plus one thread's iterator
-        # buffers, which the two threads hold at once in some runs and not in
+        # buffer, which the two threads hold at once in some runs and not in
         # others
         monkeypatch.setattr(parallel, "CPUS", 2)
         small, large = self.j50_run(300), self.j50_run(1200)
         sys_, times = small[5], small[3]
-        bound = 900 * (8 * sys_.dim + 8 * times.size) + 3 * 8192 * 16
+        bound = 900 * (8 * sys_.dim + 8 * times.size) + 8192 * 16
         growth = self.traced_peak(large) - self.traced_peak(small)
         assert growth <= bound, (f"peak grows by {growth / 2**10:.0f} KiB, "
                                  f"bound {bound / 2**10:.0f} KiB")

@@ -390,6 +390,36 @@ class TestOverlapBuffers:
                             self.STATES, self.GRID.size)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("per_chunk", [1, 3, 6])
+    def test_one_call_allocates_its_buffers_and_one_iterator_buffer(self, per_chunk, rng,
+                                                                    monkeypatch):
+        # j = 50 on one thread: the chunk buffers (16 B complex and 8 B real a
+        # node-state), the zero-padded amplitude rows, the complex table and
+        # numpy's one 8192-entry complex iterator buffer for the table product,
+        # whose amplitudes broadcast along the theta-rows, plus 8 KiB for the
+        # call's array headers, views and shared chunk iterator. A product
+        # that casts a real table to complex buffers three times as much
+        sys_ = SpinSystem(50)
+        grid = SphereGrid.for_spin(sys_)
+        states = np.array([random_state(rng, sys_.dim) for _ in range(12)])
+        monkeypatch.setattr(parallel, "CPUS", 1)
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", 16 * grid.size * per_chunk)
+
+        def call():
+            _node_overlaps(sys_, grid, len(states), states.__getitem__, 1,
+                           lambda chunk, overlaps: None)
+
+        call()  # untraced first, so numpy's FFT plan cache stays out of the peak
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = (24 * grid.size * per_chunk + 16 * grid.n_phi * per_chunk
+                 + 16 * grid.size + 8192 * 16 + 8192)
+        assert peak <= bound, f"peak {peak} B, bound {bound} B"
+
 
 class TestLargeSpin:
     """j = 200 through the public calls: 402^2 nodes, 401 levels."""
