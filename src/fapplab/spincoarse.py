@@ -244,10 +244,10 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, count: int, states, most: 
     of the table and no pass to clear the padding. Each thread reuses its
     amplitude rows, one complex and one real buffer: the overlaps passed to
     `reduce` are scratch space that the thread's next chunk overwrites, so
-    `reduce` copies or reduces them (in place if it likes), and with `most`
-    > 1 writes only where no other chunk writes. A caller that skips rows equal to others under `==` loses
-    nothing: +0 and -0 compare equal, and the sign of a zero cannot change
-    |<Omega|psi>|^2.
+    `reduce` copies or reduces them (in place if it likes), and with
+    `most` > 1 writes only where no other chunk writes. A caller that skips
+    rows equal to others under `==` loses nothing: +0 and -0 compare equal,
+    and the sign of a zero cannot change |<Omega|psi>|^2.
     """
     # the order check guarantees n_phi >= 2j+1; below that ifft would silently
     # truncate the m-sum instead of raising

@@ -424,9 +424,10 @@ class TestEchoBuffers:
     def test_chunks_crossing_a_time_match_reference_loop_bits(self, setup, cpus, ensemble,
                                                              monkeypatch):
         # 7 states a chunk on every thread, against 100 and 150 members a
-        # time: the first chunk holds the pair at t = 0 and members of the
-        # next time, and each time's last chunk runs into the next time's
-        # members, so those chunks index with arrays and the rest with slices
+        # time: where t = 0 is evaluated, the first chunk holds its pair and
+        # members of the next time, and a time's last chunk mostly runs into
+        # the next time's members; those chunks index with arrays, the rest
+        # with slices
         psi, h0, pert, times, _, sys_, grid = setup
         args = psi, h0, pert, times, ensemble, sys_, grid
         monkeypatch.setattr(parallel, "CPUS", cpus)
