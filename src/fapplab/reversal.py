@@ -26,24 +26,24 @@ from .qcore import owned
 TWO_PI = 2.0 * np.pi
 
 #: samples per Monte-Carlo block: a thread's two 128 KB coordinate arrays, its
-#: kick and its temporaries (0.7 MiB in all) stay in its core's L2 across all
+#: sine, kick and temporaries (0.8 MiB in all) stay in its core's L2 across all
 #: map steps of a block
 _CHUNK = 16384
 #: most threads a row's chunks run on side by side: a thread holding one chunk
-#: peaks at 0.7 MiB under tracemalloc (coordinates, kick, wrap and cell-test
-#: temporaries), so 4 threads stay at 2.6 MiB, inside the 4 MiB that a
-#: 1e6-sample row may take (7 threads would not)
+#: peaks at 0.83 MiB under tracemalloc (coordinates, sine, kick, wrap and
+#: cell-test temporaries), so 4 threads stay under 3.4 MiB, inside the 4 MiB
+#: that a 1e6-sample row may take (5 threads would not)
 MAX_THREADS = 4
 #: most Monte-Carlo samples per row: the default t_values take ~1.5 us per sample
-#: over their three rows on 2 CPUs (~2.6 us on one), so 2.5 minutes at the cap
+#: over their three rows on 2 CPUs (~2.5 us on one), so 2.5 minutes at the cap
 MAX_SAMPLES = 10**8
 #: most sample-steps per row: a MAX_SAMPLES row at the default t = 15, stepped
-#: forward and back at ~23 ns per sample-step on 2 CPUs (~40 ns on one):
-#: 1e8 x 15 x 2 x 23 ns = 1.2 min
+#: forward and back at ~24 ns per sample-step on 2 CPUs (~40 ns on one):
+#: 1e8 x 15 x 2 x 24 ns = 1.2 min
 MAX_SAMPLE_STEPS = 15 * MAX_SAMPLES
 #: most sample-steps per run, a row at t = 0 counting as t = 1 (its draws and tests
-#: cost ~64 ns per sample on 2 CPUs): the default t_values at MAX_SAMPLES,
-#: 3e9 x 2 x 23 ns = 2.3 min
+#: cost ~50 ns per sample on 2 CPUs): the default t_values at MAX_SAMPLES,
+#: 3e9 x 2 x 24 ns = 2.4 min
 MAX_RUN_SAMPLE_STEPS = 2 * MAX_SAMPLE_STEPS
 #: most rows per run: the stacked Lyapunov pass runs on one CPU at ~130 ns per
 #: point-step, so 1000 rows x 32 points x 4100 steps take ~17 s
@@ -51,6 +51,18 @@ MAX_ROWS = 1000
 #: Lyapunov estimate: map steps before the tangent loop, tangent-map steps, and
 #: points averaged over
 TRANSIENT, STEPS, N_INIT = 100, 4000, 32
+
+
+def _wrap_down(x) -> None:
+    """`_wrap`'s two subtractions: np.remainder's bits on [0, 4pi] without -0.0."""
+    x -= TWO_PI * (x >= TWO_PI)
+    x -= TWO_PI * (x >= TWO_PI)
+
+
+def _wrap_once(x) -> None:
+    """`_wrap` less its second subtraction: np.remainder's bits on [-2pi, 4pi)."""
+    x -= TWO_PI * (x >= TWO_PI)
+    x += TWO_PI * (x < 0)
 
 
 def _wrap(x) -> None:
@@ -63,11 +75,11 @@ def _wrap(x) -> None:
     codes do the same single rounded add x + 2pi, which gives 2pi itself for
     negatives tinier than half an ulp of 2pi. Adding +0 turns -0.0 into +0.0,
     again matching np.remainder. Outside this domain (and for inf) the two
-    differ; NaN stays NaN in both.
+    differ; NaN stays NaN in both. `_step` wraps the momentum with it only
+    when 2pi + K/2 rounds up to 4pi.
     """
     x -= TWO_PI * (x >= TWO_PI)
-    x -= TWO_PI * (x >= TWO_PI)
-    x += TWO_PI * (x < 0)
+    _wrap_once(x)
 
 
 def _remainder(x) -> None:
@@ -75,37 +87,36 @@ def _remainder(x) -> None:
     np.remainder(x, TWO_PI, out=x)
 
 
-def _advance(q, p, kick, steps: int, half_kick: float, wrap) -> None:
+def _on_torus(*arrays) -> bool:
+    """Whether every array is non-empty with all entries in [0, 2pi]."""
+    return all(np.size(a) and np.min(a) >= 0 and np.max(a) <= TWO_PI for a in arrays)
+
+
+def _advance(q, p, sine, kick, steps: int, half_kick: float, wrap_p, wrap_q) -> None:
     """`steps` kick-drift-kick steps on float arrays q and p, in place.
 
-    This is the one definition of the step. `kick` holds half_kick * sin(q) on
-    entry and is left holding it for the new q: the trailing half-kick of a
-    step and the leading half-kick of the next read the same sine, so each
-    step evaluates one. `wrap` reduces an array modulo 2pi in place.
+    This is the one definition of the step. `sine` holds sin(q) and `kick`
+    half_kick * sine on entry, and both are left holding these for the new q:
+    the trailing half-kick of a step and the leading half-kick of the next
+    read the same sine, so each step evaluates one. `wrap_p` reduces p after
+    each half-kick and `wrap_q` q after the drift, modulo 2pi in place.
     """
     for _ in range(steps):
         p += kick
-        wrap(p)
+        wrap_p(p)
         q += p
-        wrap(q)
-        np.sin(q, out=kick)
-        kick *= half_kick
+        wrap_q(q)
+        np.sin(q, out=sine)
+        np.multiply(sine, half_kick, out=kick)
         p += kick
-        wrap(p)
-
-
-def _half_kick(q, half_kick: float):
-    """A new array half_kick * sin(q): the kick `_advance` starts from."""
-    kick = np.sin(q)
-    kick *= half_kick
-    return kick
+        wrap_p(p)
 
 
 def _flip(p) -> None:
     """Momentum flip p -> -p mod 2pi in place, for p in [0, 2pi]; the bits of
-    `(-p) % TWO_PI`, since -p lies in `_wrap`'s domain."""
+    `(-p) % TWO_PI`. -p lies in [-2pi, -0], where only `_wrap`'s add acts."""
     np.negative(p, out=p)
-    _wrap(p)
+    p += TWO_PI * (p < 0)
 
 
 @dataclass(frozen=True)
@@ -135,24 +146,26 @@ class ReversibleMap:
         """`steps` map steps on coordinate arrays (the vectorized Monte-Carlo
         core); returns new arrays and leaves q and p untouched."""
         q, p = (np.array(a, dtype=float) for a in np.broadcast_arrays(q, p))
-        self._step(q.reshape(-1), p.reshape(-1), steps)  # views, so 0-d inputs step too
+        q1 = q.reshape(-1)  # views, so 0-d inputs step too
+        self._step(q1, p.reshape(-1), np.sin(q1), steps)
         return q, p
 
-    def _step(self, q, p, steps: int) -> None:
+    def _step(self, q, p, sine, steps: int) -> None:
         """`steps` map steps on 1-d float arrays q and p, in place, by one
-        `_advance` call; `reversal_probability` steps its chunks this way.
+        `_advance` call, `sine` holding sin(q) on entry and sin of the new q on
+        return; `reversal_probability` steps its chunks this way.
 
-        While every wrapped value lies in [-2pi, 4pi], `_wrap` gives the bits of
-        np.remainder: that holds for non-empty inputs in [0, 2pi] and K < 4pi,
-        since then |kick| <= K/2 < 2pi and q + p <= 4pi. Any other input
-        (NaN, out of range, strong kicks) takes np.remainder itself.
+        For non-empty inputs in [0, 2pi] and K < 4pi, |kick| <= K/2 < 2pi: p after
+        a half-kick lies in `_wrap_once`'s (-2pi, 4pi) (`_wrap`'s [-2pi, 4pi] if
+        2pi + K/2 rounds up to 4pi), and q + p, never -0.0, in `_wrap_down`'s
+        [0, 4pi]. Any other input (NaN, out of range, strong kicks) takes np.remainder.
         """
         half_kick = 0.5 * self.kick_strength
-        wrap = _remainder
-        if (q.size and self.kick_strength < 2 * TWO_PI
-                and all(a.min() >= 0 and a.max() <= TWO_PI for a in (q, p))):
-            wrap = _wrap
-        _advance(q, p, _half_kick(q, half_kick), steps, half_kick, wrap)
+        wrap_p = wrap_q = _remainder
+        if self.kick_strength < 2 * TWO_PI and _on_torus(q, p):
+            wrap_p = _wrap_once if TWO_PI + half_kick < 2 * TWO_PI else _wrap
+            wrap_q = _wrap_down
+        _advance(q, p, sine, sine * half_kick, steps, half_kick, wrap_p, wrap_q)
 
 
 @dataclass(frozen=True)
@@ -177,20 +190,28 @@ class CellRegion:
         Passing one generator twice draws all q, then all p from it.
 
         The shifted draws lie in (-pi, 3pi), since the half-width is below pi,
-        so `_wrap` reduces them in place with np.remainder's bits.
+        so `_wrap_once` reduces them in place with np.remainder's bits.
         """
         q = q_rng.uniform(-self.half_width, self.half_width, n)
         q += self.center.q
-        _wrap(q)
+        _wrap_once(q)
         p = p_rng.uniform(-self.half_width, self.half_width, n)
         p += self.center.p
-        _wrap(p)
+        _wrap_once(p)
         return q, p
 
     def contains(self, q, p) -> np.ndarray:
-        dq = np.abs((q - self.center.q + np.pi) % TWO_PI - np.pi)
-        dp = np.abs((p - self.center.p + np.pi) % TWO_PI - np.pi)
-        return (dq <= self.half_width) & (dp <= self.half_width)
+        """Whether |(x - center + pi) mod 2pi - pi| <= half_width for x = q, p:
+        by `_wrap_once` when q and p lie in [0, 2pi], else by np.remainder."""
+        wrap = _wrap_once if _on_torus(q, p) else _remainder
+        inside = []
+        for x, center in ((q, self.center.q), (p, self.center.p)):
+            d = np.asarray(x - center)  # an array even for 0-d x, so it wraps in place
+            d += np.pi
+            wrap(d)
+            d -= np.pi
+            inside.append(np.abs(d, out=d) <= self.half_width)
+        return inside[0] & inside[1]
 
 
 @dataclass(frozen=True)
@@ -253,6 +274,7 @@ def reversal_probability(cfg: ReversalConfig, lyapunov_estimate: float) -> Rever
     thread_hits = []
 
     def count_hits(starts) -> None:
+        sines = np.empty(min(_CHUNK, cfg.samples))
         q_bits, p_bits = np.random.PCG64(seed), np.random.PCG64(seed)
         p_bits.advance(cfg.samples)
         q_rng, p_rng = np.random.Generator(q_bits), np.random.Generator(p_bits)
@@ -262,9 +284,10 @@ def reversal_probability(cfg: ReversalConfig, lyapunov_estimate: float) -> Rever
             p_bits.advance(start - drawn)
             drawn = min(start + _CHUNK, cfg.samples)
             q, p = cfg.region.sample(q_rng, p_rng, drawn - start)
-            cfg.map._step(q, p, cfg.steps)
-            _flip(p)
-            perturbed._step(q, p, cfg.steps)
+            sine = np.sin(q, out=sines[:q.size])
+            cfg.map._step(q, p, sine, cfg.steps)
+            _flip(p)  # q and so its sine are unchanged
+            perturbed._step(q, p, sine, cfg.steps)
             _flip(p)
             hits += int(np.count_nonzero(cfg.region.contains(q, p)))
         thread_hits.append(hits)
@@ -321,7 +344,8 @@ def lyapunov_rows(mapping: ReversibleMap, seeds) -> list:
     start = np.concatenate([np.random.default_rng(seed).uniform(0.0, TWO_PI, (N_INIT, 2))
                             for seed in seeds])
     q, p = mapping.evolve_arrays(start[:, 0], start[:, 1], TRANSIENT)
-    kick = _half_kick(q, half_kick)
+    sine = np.sin(q)
+    kick = sine * half_kick
     c1, c2 = np.empty_like(q), half_kick * np.cos(q)
     tangent = np.zeros((2, q.size))  # the rows are v0 and v1
     tangent[0] = 1.0
@@ -330,10 +354,10 @@ def lyapunov_rows(mapping: ReversibleMap, seeds) -> list:
     for _ in range(STEPS):
         # tangent map J = J_kick(q_new) @ J_drift @ J_kick(q), multiplied out;
         # the new kick's slope is the next step's old one. On a few hundred
-        # points one np.remainder call is cheaper than the nine tiny calls of
-        # `_wrap`.
+        # points one np.remainder call is cheaper than the six tiny calls of
+        # a narrowed wrap.
         c1, c2 = c2, c1
-        _advance(q, p, kick, 1, half_kick, _remainder)
+        _advance(q, p, sine, kick, 1, half_kick, _remainder, _remainder)
         np.cos(q, out=c2)
         c2 *= half_kick
         np.multiply(c1, v0, out=c1v0)

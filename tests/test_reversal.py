@@ -9,9 +9,9 @@ import pytest
 from fapplab import parallel, reversal
 from fapplab.reversal import (_CHUNK, MAX_ROWS, MAX_RUN_SAMPLE_STEPS, MAX_SAMPLE_STEPS,
                               MAX_SAMPLES, N_INIT, STEPS, TRANSIENT, TWO_PI, CellRegion,
-                              PhasePoint, ReversalConfig, ReversibleMap, _wrap, bound,
-                              lyapunov, lyapunov_rows, reversal_probabilities,
-                              reversal_probability)
+                              PhasePoint, ReversalConfig, ReversibleMap, _flip, _wrap,
+                              _wrap_down, _wrap_once, bound, lyapunov, lyapunov_rows,
+                              reversal_probabilities, reversal_probability)
 
 
 def make_config(**overrides):
@@ -92,36 +92,108 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-class TestWrap:
-    """`_wrap` must give exactly the bits of np.remainder on [-2pi, 4pi]."""
+def flip_add(x):
+    """`_flip` of -x: the add line alone, which the flip applies to -p."""
+    np.negative(x, out=x)
+    _flip(x)
 
-    def wrapped(self, x):
+
+def reference_contains(region, q, p):
+    """`CellRegion.contains` by np.remainder alone (test oracle)."""
+    dq = np.abs((q - region.center.q + np.pi) % TWO_PI - np.pi)
+    dp = np.abs((p - region.center.p + np.pi) % TWO_PI - np.pi)
+    return (dq <= region.half_width) & (dp <= region.half_width)
+
+
+FOUR_PI = 2 * TWO_PI
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17] + [
+    x for v in (-TWO_PI, np.pi, TWO_PI, 3 * np.pi, FOUR_PI)
+    for x in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+#: each wrap, the domain on which it must give np.remainder's bits, that
+#: domain's bounds for a uniform sweep, how many of `EDGES` lie
+#: outside it, and an input just outside it where the wrap must differ
+WRAPS = [
+    pytest.param(_wrap, lambda x: (x >= -TWO_PI) & (x <= FOUR_PI), -TWO_PI, FOUR_PI, 2,
+                 np.nextafter(-TWO_PI, -np.inf), id="wrap"),  # one add is not enough
+    pytest.param(_wrap_once, lambda x: (x >= -TWO_PI) & (x < FOUR_PI), -TWO_PI, FOUR_PI, 3,
+                 FOUR_PI, id="wrap_once"),  # 4pi needs the second subtraction
+    pytest.param(_wrap_down, lambda x: ~np.signbit(x) & (x <= FOUR_PI), 0.0, FOUR_PI, 7,
+                 -1.0, id="wrap_down"),  # a negative needs the add
+    pytest.param(flip_add, lambda x: (x >= -TWO_PI) & (x <= 0), -TWO_PI, 0.0, 15,
+                 np.nextafter(-TWO_PI, -np.inf), id="flip"),
+]
+
+
+class TestWrap:
+    """Each wrap must give exactly the bits of np.remainder on its domain."""
+
+    def wrapped(self, wrap, x):
         x = np.array(x, dtype=float)
-        _wrap(x)
+        wrap(x)
         return x
 
-    def test_edge_values(self):
-        pi = np.pi
-        points = [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17]
-        for v in (-TWO_PI, pi, TWO_PI, 3 * pi, 2 * TWO_PI):
-            points += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
-        x = np.array(points)
-        x = x[(x >= -TWO_PI) & (x <= 2 * TWO_PI)]  # the outer neighbours of -2pi and 4pi
-        assert x.size == len(points) - 2
-        assert_same_bits(self.wrapped(x), np.remainder(x, TWO_PI))
+    @pytest.mark.parametrize("wrap, domain, lo, hi, outside, beyond", WRAPS)
+    def test_edge_values(self, wrap, domain, lo, hi, outside, beyond):
+        x = np.array(EDGES)
+        x = x[domain(x)]
+        assert x.size == len(EDGES) - outside
+        assert_same_bits(self.wrapped(wrap, x), np.remainder(x, TWO_PI))
+
+    @pytest.mark.parametrize("wrap, domain, lo, hi, outside, beyond", WRAPS)
+    def test_uniform_draws(self, rng, wrap, domain, lo, hi, outside, beyond):
+        x = rng.uniform(lo, hi, 1_000_000)
+        assert domain(x).all()
+        assert_same_bits(self.wrapped(wrap, x), np.remainder(x, TWO_PI))
+
+    @pytest.mark.parametrize("wrap, domain, lo, hi, outside, beyond", WRAPS)
+    def test_domain_is_needed(self, wrap, domain, lo, hi, outside, beyond):
+        # just outside its domain a wrap misses np.remainder: no call site may
+        # hand it such a value
+        assert not domain(np.array(beyond))
+        assert self.wrapped(wrap, beyond) != np.remainder(beyond, TWO_PI)
 
     def test_special_results(self):
         # -0.0 becomes +0.0, 4pi becomes +0, tiny negatives round up to 2pi
-        assert_same_bits(self.wrapped([-0.0, 2 * TWO_PI, -1e-17]), [0.0, 0.0, TWO_PI])
+        assert_same_bits(self.wrapped(_wrap, [-0.0, FOUR_PI, -1e-17, -5e-324]),
+                         [0.0, 0.0, TWO_PI, TWO_PI])
+        assert_same_bits(self.wrapped(_wrap_once, [-0.0, -TWO_PI, -5e-324]),
+                         [0.0, 0.0, TWO_PI])
+        assert_same_bits(self.wrapped(_wrap_down, [TWO_PI, FOUR_PI]), [0.0, 0.0])
+        assert_same_bits(self.wrapped(flip_add, [-0.0, 0.0, -5e-324]), [0.0, 0.0, TWO_PI])
 
-    def test_uniform_draws(self, rng):
-        x = rng.uniform(-TWO_PI, 2 * TWO_PI, 1_000_000)
-        assert_same_bits(self.wrapped(x), np.remainder(x, TWO_PI))
 
-    def test_domain_is_needed(self):
-        # just below -2pi one add is not enough: the map kernel must not wrap there
-        x = np.nextafter(-TWO_PI, -np.inf)
-        assert self.wrapped(x) != np.remainder(x, TWO_PI)
+class TestCellTest:
+    """`CellRegion.contains` against its np.remainder form, bit for bit."""
+
+    @pytest.mark.parametrize("center", [(3.0, 2.0), (0.01, TWO_PI - 0.01)],
+                             ids=["inside", "seam"])
+    def test_edges(self, center):
+        # each coordinate at the center, at center +- half_width wrapped onto
+        # the torus and at their neighbours, all in [0, 2pi] where the one-add
+        # wrap is taken; the seam cell's edges lie on both sides of 0 = 2pi
+        region = CellRegion(center=PhasePoint(*center), half_width=0.025)
+        axes = []
+        for c in center:
+            x = [c, 0.0, TWO_PI]
+            for edge in ((c - 0.025) % TWO_PI, (c + 0.025) % TWO_PI):
+                x += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+            axes.append(np.array(x))
+        q, p = (a.ravel() for a in np.meshgrid(*axes))
+        assert ((q >= 0) & (q <= TWO_PI) & (p >= 0) & (p <= TWO_PI)).all()
+        got, want = region.contains(q, p), reference_contains(region, q, p)
+        assert 0 < np.count_nonzero(got) == np.count_nonzero(want) < q.size
+        assert np.array_equal(got, want)
+        assert region.contains(*center)  # scalars are tested as 0-d arrays
+
+    def test_off_torus_inputs_fall_back(self, rng):
+        # outside [0, 2pi] the shifted distance may leave the one-add wrap's
+        # domain, so `contains` takes np.remainder like `_step`
+        region = CellRegion(center=PhasePoint(3.0, 2.0), half_width=0.025)
+        q = 3.0 + rng.uniform(-0.05, 0.05, 1000) + TWO_PI * rng.integers(-3, 6, 1000)
+        p = 2.0 + rng.uniform(-0.05, 0.05, 1000) + TWO_PI * rng.integers(-3, 6, 1000)
+        got = region.contains(q, p)
+        assert 0 < np.count_nonzero(got) < q.size
+        assert np.array_equal(got, reference_contains(region, q, p))
 
 
 class TestEvolveArrays:
@@ -129,13 +201,15 @@ class TestEvolveArrays:
 
     @pytest.fixture
     def wrap_calls(self, monkeypatch):
+        """(name, size) of each call of the narrowed wraps, which only the fast
+        path makes."""
         calls = []
+        for name in ("_wrap", "_wrap_once", "_wrap_down"):
+            def counting_wrap(x, name=name, wrap=getattr(reversal, name)):
+                calls.append((name, x.size))
+                wrap(x)
 
-        def counting_wrap(x):
-            calls.append(x.size)
-            _wrap(x)
-
-        monkeypatch.setattr(reversal, "_wrap", counting_wrap)
+            monkeypatch.setattr(reversal, name, counting_wrap)
         return calls
 
     @pytest.mark.parametrize("kick", [0.0, 0.3, 6.0, 12.5, 2 * TWO_PI, 20.0])
@@ -154,6 +228,18 @@ class TestEvolveArrays:
         assert_same_bits(qf, q)
         assert_same_bits(pf, p)
         assert bool(wrap_calls) == (kick < 2 * TWO_PI)  # K >= 4pi falls back
+
+    def test_kick_rounding_up_to_4pi_keeps_the_full_wrap(self, wrap_calls):
+        # 2pi + K/2 rounds to 4pi, so the half-kick from p = 2pi at sin q = 1
+        # lands on 4pi, which `_wrap_once` would leave at 2pi
+        kick = np.nextafter(FOUR_PI, 0)
+        q, p = np.array([np.pi / 2]), np.array([TWO_PI])
+        assert p + 0.5 * kick * np.sin(q) == FOUR_PI
+        qf, pf = ReversibleMap(kick).evolve_arrays(q, p, 1)
+        q, p = unfused_step(kick, q, p)
+        assert_same_bits(qf, q)
+        assert_same_bits(pf, p)
+        assert ("_wrap", 1) in wrap_calls and ("_wrap_down", 1) in wrap_calls
 
     def test_out_of_range_inputs_fall_back(self, rng, wrap_calls):
         q = rng.uniform(0, TWO_PI, 1000)
@@ -356,9 +442,10 @@ class TestStreamedMonteCarlo:
         inputs = []
         step = ReversibleMap._step
 
-        def recording_step(self, q, p, steps):
+        def recording_step(self, q, p, sine, steps):
+            assert_same_bits(sine, np.sin(q))  # the perturbed pass reuses the forward sine
             inputs.append((q.copy(), p.copy()))
-            step(self, q, p, steps)
+            step(self, q, p, sine, steps)
 
         # one thread, so the chunks are stepped in sample order
         monkeypatch.setattr(parallel, "CPUS", 1)
@@ -411,7 +498,7 @@ class TestStreamedMonteCarlo:
         meet = threading.Barrier(2, timeout=10)
         step = ReversibleMap._step
 
-        def slow_on_chunk_1(self, q, p, steps):
+        def slow_on_chunk_1(self, q, p, sine, steps):
             if self is cfg.map:  # the forward stepping of a freshly drawn chunk
                 chunk = int(np.flatnonzero(starts == q[0])[0])
                 stepped_by[chunk] = threading.get_ident()
@@ -419,7 +506,7 @@ class TestStreamedMonteCarlo:
                     meet.wait()
                 if chunk == 1:
                     time.sleep(0.2)
-            step(self, q, p, steps)
+            step(self, q, p, sine, steps)
 
         monkeypatch.setattr(parallel, "CPUS", 2)
         monkeypatch.setattr(ReversibleMap, "_step", slow_on_chunk_1)
