@@ -34,15 +34,15 @@ _CHUNK = 16384
 #: cell-test temporaries), so 4 threads stay under 3.4 MiB, inside the 4 MiB
 #: that a 1e6-sample row may take (5 threads would not)
 MAX_THREADS = 4
-#: most Monte-Carlo samples per row: the default t_values take ~1.5 us per sample
-#: over their three rows on 2 CPUs (~2.5 us on one), so 2.5 minutes at the cap
+#: most Monte-Carlo samples per row: the default t_values take 1.0-1.5 us per
+#: sample over their three rows on 2 CPUs (1.6-2.5 us on one), so <= 2.5 min at the cap
 MAX_SAMPLES = 10**8
 #: most sample-steps per row: a MAX_SAMPLES row at the default t = 15, stepped
-#: forward and back at ~24 ns per sample-step on 2 CPUs (~40 ns on one):
+#: forward and back at 19-24 ns per sample-step on 2 CPUs (25-40 ns on one):
 #: 1e8 x 15 x 2 x 24 ns = 1.2 min
 MAX_SAMPLE_STEPS = 15 * MAX_SAMPLES
 #: most sample-steps per run, a row at t = 0 counting as t = 1 (its draws and tests
-#: cost ~50 ns per sample on 2 CPUs): the default t_values at MAX_SAMPLES,
+#: cost 35-50 ns per sample on 2 CPUs): the default t_values at MAX_SAMPLES,
 #: 3e9 x 2 x 24 ns = 2.4 min
 MAX_RUN_SAMPLE_STEPS = 2 * MAX_SAMPLE_STEPS
 #: most rows per run: the stacked Lyapunov pass runs on one CPU at ~130 ns per

@@ -169,8 +169,8 @@ class TestCellTest:
                              ids=["inside", "seam"])
     def test_edges(self, center):
         # each coordinate at the center, at center +- half_width wrapped onto
-        # the torus and at their neighbours, all in [0, 2pi] where the one-add
-        # wrap is taken; the seam cell's edges lie on both sides of 0 = 2pi
+        # the torus and at their neighbours, all in [0, 2pi] where `contains`
+        # takes `_wrap_once`; the seam cell's edges lie on both sides of 0 = 2pi
         region = CellRegion(center=PhasePoint(*center), half_width=0.025)
         axes = []
         for c in center:
@@ -186,7 +186,7 @@ class TestCellTest:
         assert region.contains(*center)  # scalars are tested as 0-d arrays
 
     def test_off_torus_inputs_fall_back(self, rng):
-        # outside [0, 2pi] the shifted distance may leave the one-add wrap's
+        # outside [0, 2pi] the shifted distance may leave `_wrap_once`'s
         # domain, so `contains` takes np.remainder like `_step`
         region = CellRegion(center=PhasePoint(3.0, 2.0), half_width=0.025)
         q = 3.0 + rng.uniform(-0.05, 0.05, 1000) + TWO_PI * rng.integers(-3, 6, 1000)
