@@ -30,9 +30,9 @@ TWO_PI = 2.0 * np.pi
 #: map steps of a block
 _CHUNK = 16384
 #: most threads a row's chunks run on side by side: a thread holding one chunk
-#: peaks at 0.83 MiB under tracemalloc (coordinates, sine, kick, wrap and
-#: cell-test temporaries), so 4 threads stay under 3.4 MiB, inside the 4 MiB
-#: that a 1e6-sample row may take (5 threads would not)
+#: peaks at 0.72 MiB under tracemalloc (coordinates, sine, kick, wrap and
+#: cell-test temporaries), so 4 threads peaking together hold 2.9 MiB, inside
+#: the 4 MiB that a 1e6-sample row may take (a first call on 4 threads read 3.4)
 MAX_THREADS = 4
 #: most Monte-Carlo samples per row: the default t_values take 1.0-1.5 us per
 #: sample over their three rows on 2 CPUs (1.6-2.5 us on one), so <= 2.5 min at the cap
@@ -54,32 +54,25 @@ TRANSIENT, STEPS, N_INIT = 100, 4000, 32
 
 
 def _wrap_down(x) -> None:
-    """`_wrap`'s two subtractions: np.remainder's bits on [0, 4pi] without -0.0."""
+    """Two subtractions of 2pi where x >= 2pi: np.remainder's bits on [0, 4pi]
+    without -0.0 (4pi takes both and ends at +0, as np.remainder does)."""
     x -= TWO_PI * (x >= TWO_PI)
     x -= TWO_PI * (x >= TWO_PI)
 
 
 def _wrap_once(x) -> None:
-    """`_wrap` less its second subtraction: np.remainder's bits on [-2pi, 4pi)."""
-    x -= TWO_PI * (x >= TWO_PI)
-    x += TWO_PI * (x < 0)
-
-
-def _wrap(x) -> None:
     """Reduce x modulo 2pi in place, bit for bit as `np.remainder(x, TWO_PI)`
-    on the domain [-2pi, 4pi], and only there.
+    on the domain [-2pi, 4pi), and only there.
 
-    For x in [2pi, 4pi] the subtraction x - 2pi is exact (Sterbenz's lemma:
-    x lies within a factor two of 2pi), and so is fmod; 4pi takes both
-    subtractions and ends at +0, as np.remainder does. For x in [-2pi, 0) both
-    codes do the same single rounded add x + 2pi, which gives 2pi itself for
-    negatives tinier than half an ulp of 2pi. Adding +0 turns -0.0 into +0.0,
-    again matching np.remainder. Outside this domain (and for inf) the two
-    differ; NaN stays NaN in both. `_step` wraps the momentum with it only
-    when 2pi + K/2 rounds up to 4pi.
+    For x in [2pi, 4pi) the subtraction x - 2pi is exact (Sterbenz's lemma:
+    x lies within a factor two of 2pi), and so is fmod. For x in [-2pi, 0)
+    both codes do the same single rounded add x + 2pi, which gives 2pi itself
+    for negatives tinier than half an ulp of 2pi. Adding +0 turns -0.0 into
+    +0.0, again matching np.remainder. At 4pi and above, below -2pi (and for
+    inf) the two differ; NaN stays NaN in both.
     """
     x -= TWO_PI * (x >= TWO_PI)
-    _wrap_once(x)
+    x += TWO_PI * (x < 0)
 
 
 def _remainder(x) -> None:
@@ -114,7 +107,7 @@ def _advance(q, p, sine, kick, steps: int, half_kick: float, wrap_p, wrap_q) -> 
 
 def _flip(p) -> None:
     """Momentum flip p -> -p mod 2pi in place, for p in [0, 2pi]; the bits of
-    `(-p) % TWO_PI`. -p lies in [-2pi, -0], where only `_wrap`'s add acts."""
+    `(-p) % TWO_PI`. -p lies in [-2pi, -0], where only `_wrap_once`'s add acts."""
     np.negative(p, out=p)
     p += TWO_PI * (p < 0)
 
@@ -155,16 +148,16 @@ class ReversibleMap:
         `_advance` call, `sine` holding sin(q) on entry and sin of the new q on
         return; `reversal_probability` steps its chunks this way.
 
-        For non-empty inputs in [0, 2pi] and K < 4pi, |kick| <= K/2 < 2pi: p after
-        a half-kick lies in `_wrap_once`'s (-2pi, 4pi) (`_wrap`'s [-2pi, 4pi] if
-        2pi + K/2 rounds up to 4pi), and q + p, never -0.0, in `_wrap_down`'s
-        [0, 4pi]. Any other input (NaN, out of range, strong kicks) takes np.remainder.
+        For non-empty inputs in [0, 2pi] and 2pi + K/2 < 4pi (K < 4pi, less the
+        kicks just below it where the sum rounds up), |kick| <= K/2: p after a
+        half-kick lies in `_wrap_once`'s (-2pi, 4pi), and q + p, never -0.0, in
+        `_wrap_down`'s [0, 4pi]. Any other input (NaN, out of range, strong
+        kicks) takes np.remainder.
         """
         half_kick = 0.5 * self.kick_strength
         wrap_p = wrap_q = _remainder
-        if self.kick_strength < 2 * TWO_PI and _on_torus(q, p):
-            wrap_p = _wrap_once if TWO_PI + half_kick < 2 * TWO_PI else _wrap
-            wrap_q = _wrap_down
+        if TWO_PI + half_kick < 2 * TWO_PI and _on_torus(q, p):
+            wrap_p, wrap_q = _wrap_once, _wrap_down
         _advance(q, p, sine, sine * half_kick, steps, half_kick, wrap_p, wrap_q)
 
 
@@ -290,6 +283,7 @@ def reversal_probability(cfg: ReversalConfig, lyapunov_estimate: float) -> Rever
             perturbed._step(q, p, sine, cfg.steps)
             _flip(p)
             hits += int(np.count_nonzero(cfg.region.contains(q, p)))
+            del q, p  # freed before the next chunk is drawn
         thread_hits.append(hits)
 
     run_shared(count_hits, range(0, cfg.samples, _CHUNK), MAX_THREADS)

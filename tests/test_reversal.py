@@ -9,8 +9,8 @@ import pytest
 from fapplab import parallel, reversal
 from fapplab.reversal import (_CHUNK, MAX_ROWS, MAX_RUN_SAMPLE_STEPS, MAX_SAMPLE_STEPS,
                               MAX_SAMPLES, N_INIT, STEPS, TRANSIENT, TWO_PI, CellRegion,
-                              PhasePoint, ReversalConfig, ReversibleMap, _flip, _wrap,
-                              _wrap_down, _wrap_once, bound, lyapunov, lyapunov_rows,
+                              PhasePoint, ReversalConfig, ReversibleMap, _flip, _wrap_down,
+                              _wrap_once, bound, lyapunov, lyapunov_rows,
                               reversal_probabilities, reversal_probability)
 
 
@@ -113,8 +113,6 @@ EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17] + [
 #: domain's bounds for a uniform sweep, how many of `EDGES` lie
 #: outside it, and an input just outside it where the wrap must differ
 WRAPS = [
-    pytest.param(_wrap, lambda x: (x >= -TWO_PI) & (x <= FOUR_PI), -TWO_PI, FOUR_PI, 2,
-                 np.nextafter(-TWO_PI, -np.inf), id="wrap"),  # one add is not enough
     pytest.param(_wrap_once, lambda x: (x >= -TWO_PI) & (x < FOUR_PI), -TWO_PI, FOUR_PI, 3,
                  FOUR_PI, id="wrap_once"),  # 4pi needs the second subtraction
     pytest.param(_wrap_down, lambda x: ~np.signbit(x) & (x <= FOUR_PI), 0.0, FOUR_PI, 7,
@@ -154,10 +152,8 @@ class TestWrap:
 
     def test_special_results(self):
         # -0.0 becomes +0.0, 4pi becomes +0, tiny negatives round up to 2pi
-        assert_same_bits(self.wrapped(_wrap, [-0.0, FOUR_PI, -1e-17, -5e-324]),
+        assert_same_bits(self.wrapped(_wrap_once, [-0.0, -TWO_PI, -1e-17, -5e-324]),
                          [0.0, 0.0, TWO_PI, TWO_PI])
-        assert_same_bits(self.wrapped(_wrap_once, [-0.0, -TWO_PI, -5e-324]),
-                         [0.0, 0.0, TWO_PI])
         assert_same_bits(self.wrapped(_wrap_down, [TWO_PI, FOUR_PI]), [0.0, 0.0])
         assert_same_bits(self.wrapped(flip_add, [-0.0, 0.0, -5e-324]), [0.0, 0.0, TWO_PI])
 
@@ -204,7 +200,7 @@ class TestEvolveArrays:
         """(name, size) of each call of the narrowed wraps, which only the fast
         path makes."""
         calls = []
-        for name in ("_wrap", "_wrap_once", "_wrap_down"):
+        for name in ("_wrap_once", "_wrap_down"):
             def counting_wrap(x, name=name, wrap=getattr(reversal, name)):
                 calls.append((name, x.size))
                 wrap(x)
@@ -229,7 +225,7 @@ class TestEvolveArrays:
         assert_same_bits(pf, p)
         assert bool(wrap_calls) == (kick < 2 * TWO_PI)  # K >= 4pi falls back
 
-    def test_kick_rounding_up_to_4pi_keeps_the_full_wrap(self, wrap_calls):
+    def test_kick_rounding_up_to_4pi_falls_back(self, wrap_calls):
         # 2pi + K/2 rounds to 4pi, so the half-kick from p = 2pi at sin q = 1
         # lands on 4pi, which `_wrap_once` would leave at 2pi
         kick = np.nextafter(FOUR_PI, 0)
@@ -239,7 +235,7 @@ class TestEvolveArrays:
         q, p = unfused_step(kick, q, p)
         assert_same_bits(qf, q)
         assert_same_bits(pf, p)
-        assert ("_wrap", 1) in wrap_calls and ("_wrap_down", 1) in wrap_calls
+        assert not wrap_calls
 
     def test_out_of_range_inputs_fall_back(self, rng, wrap_calls):
         q = rng.uniform(0, TWO_PI, 1000)
