@@ -283,7 +283,7 @@ def reversal_probability(cfg: ReversalConfig, lyapunov_estimate: float) -> Rever
             perturbed._step(q, p, sine, cfg.steps)
             _flip(p)
             hits += int(np.count_nonzero(cfg.region.contains(q, p)))
-            del q, p  # freed before the next chunk is drawn
+            del q, p  # so a thread never holds two chunks while it draws the next
         thread_hits.append(hits)
 
     run_shared(count_hits, range(0, cfg.samples, _CHUNK), MAX_THREADS)
