@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical tolerance failure,
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from math import isfinite, pi
 
@@ -137,61 +136,54 @@ def _format(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2 prints np.float64(...) otherwise
     if isinstance(value, tuple):
         return ",".join(_format(v) for v in value)
     return str(value)
 
 
-def _preamble(experiment: str, seed: int, threads: int, cfg: dict) -> list:
-    lines = [f"# fapplab {__version__}",
-             f"# experiment={experiment}",
-             f"# seed={seed}",
-             f"# threads={threads}"]
-    for key in sorted(cfg):
-        lines.append(f"# {key}={_format(cfg[key])}")
-    return lines
+def _lines(lines):
+    """A body that writes these lines."""
+    text = "".join(f"{line}\n" for line in lines)
+    return lambda fh: fh.write(text)
+
+
+def _table(header: str, rows, *tail: str):
+    """A body that writes the header, one CSV line per row, then the tail."""
+    return _lines([header, *(",".join(map(_format, row)) for row in rows), *tail])
 
 
 def run(experiment: str, cfg: dict, seed: int, threads: int, out_path: str) -> str:
-    """Dispatch, write the output file, and return a one-line summary."""
-    buf = io.StringIO()
-    for line in _preamble(experiment, seed, threads, cfg):
-        buf.write(line + "\n")
+    """Compute, then write the output file, and return a one-line summary.
 
-    if experiment == "qfunction":
-        summary = _run_qfunction(cfg, buf)
-    elif experiment == "classical-reverse":
-        summary = _run_reverse(cfg, seed, buf)
-    elif experiment == "echo":
-        summary = _run_echo(cfg, seed, buf)
-    elif experiment == "friend":
-        summary = _run_friend(cfg, buf)
-    else:
-        summary = _run_bell(cfg, seed, buf)
-
+    The file is opened only once the run has its numbers, so a run that fails
+    leaves none; the body is written straight into it, not built in memory.
+    """
+    summary, write_body = RUNNERS[experiment](cfg, seed)
+    preamble = [f"# fapplab {__version__}", f"# experiment={experiment}",
+                f"# seed={seed}", f"# threads={threads}"]
+    preamble += [f"# {key}={_format(cfg[key])}" for key in sorted(cfg)]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        _lines(preamble)(fh)
+        write_body(fh)
     return summary
 
 
-def _run_qfunction(cfg: dict, buf) -> str:
+def _run_qfunction(cfg: dict, seed: int):
     sys_ = sc.SpinSystem(cfg["j"])
     n = cfg["grid_nodes"]
     grid = sc.SphereGrid(n, n) if n else sc.SphereGrid.for_spin(sys_)
     omega = sc.SolidAngle(cfg["theta0"], cfg["phi0"])
     state = sc.coherent_state(sys_, omega)
     qf = sc.q_function_pure(state, sys_, grid)
-    qf.write_csv(buf)
     return (f"qfunction j={cfg['j']} nodes={grid.size} "
-            f"integral={qf.integral():.6f}")
+            f"integral={qf.integral():.6f}"), qf.write_csv
 
 
-def _run_reverse(cfg: dict, seed: int, buf) -> str:
+def _run_reverse(cfg: dict, seed: int):
     mapping = rev_mod.ReversibleMap(cfg["kick"])
     region = rev_mod.CellRegion(center=rev_mod.PhasePoint(cfg["cell_q"], cfg["cell_p"]),
                                 half_width=cfg["cell_width"] / 2)
-    buf.write("t,probability,std_error,bound\n")
     child_seeds = np.random.SeedSequence(entropy=seed).generate_state(
         len(cfg["t_values"]), dtype=np.uint64)
     # every row is validated before any row runs
@@ -199,13 +191,16 @@ def _run_reverse(cfg: dict, seed: int, buf) -> str:
         map=mapping, perturbed_kick=cfg["kick"] + cfg["delta_kick"], steps=int(t),
         region=region, samples=cfg["samples"], seed=int(child_seed))
         for t, child_seed in zip(cfg["t_values"], child_seeds)]
-    for t, result in zip(cfg["t_values"], rev_mod.reversal_probabilities(configs)):
-        buf.write(f"{t},{result.probability!r},{result.std_error!r},{result.bound!r}\n")
+    results = rev_mod.reversal_probabilities(configs)
+    result = results[-1]
     return (f"classical-reverse K={cfg['kick']} dK={cfg['delta_kick']} "
-            f"probability={result.probability:.6f} lyapunov={result.lyapunov_estimate:.4f}")
+            f"probability={result.probability:.6f} lyapunov={result.lyapunov_estimate:.4f}",
+            _table("t,probability,std_error,bound",
+                   [(t, r.probability, r.std_error, r.bound)
+                    for t, r in zip(cfg["t_values"], results)]))
 
 
-def _run_echo(cfg: dict, seed: int, buf) -> str:
+def _run_echo(cfg: dict, seed: int):
     sys_ = sc.SpinSystem(cfg["j"])
     grid = sc.SphereGrid.for_spin(sys_)
     h0 = echo_mod.SpectralHamiltonian.random_dicke_diagonal(sys_, seed=seed)
@@ -219,28 +214,25 @@ def _run_echo(cfg: dict, seed: int, buf) -> str:
     psi = sc.coherent_state(sys_, sc.SolidAngle(cfg["theta0"], cfg["phi0"]))
     curve = echo_mod.echo_experiment(psi, h0, pert, np.array(times), cfg["ensemble"],
                                      sys_, grid)
-    buf.write("t,mean_overlap,std_error,bound\n")
-    for t, mo, se, b in zip(curve.times, curve.mean_overlap, curve.std_error,
-                            curve.analytic_bound):
-        buf.write(f"{float(t)!r},{float(mo)!r},{float(se)!r},{float(b)!r}\n")
     return (f"echo j={cfg['j']} sigma={sigma:.6f} "
-            f"final_overlap={curve.mean_overlap[-1]:.6f}")
+            f"final_overlap={curve.mean_overlap[-1]:.6f}",
+            _table("t,mean_overlap,std_error,bound",
+                   zip(curve.times, curve.mean_overlap, curve.std_error,
+                       curve.analytic_bound)))
 
 
-def _run_friend(cfg: dict, buf) -> str:
+def _run_friend(cfg: dict, seed: int):
     report = friend_mod.run_pipeline(friend_mod.LabSpace(observer_dim=cfg["observer_dim"]))
-    for key, value in report.items():
-        buf.write(f"{key}={_format(value)}\n")
     return (f"friend observer_dim={cfg['observer_dim']} "
             f"p_plus={report['p_plus_post_message']:.6f} "
-            f"message_purity={report['message_purity']:.6f}")
+            f"message_purity={report['message_purity']:.6f}",
+            _lines(f"{key}={_format(value)}" for key, value in report.items()))
 
 
-def _run_bell(cfg: dict, seed: int, buf) -> str:
+def _run_bell(cfg: dict, seed: int):
     branches = bell_mod.default_branches()
     settings = bell_mod.ChshSettings.default(branches)
     state = bell_mod.build_bell_state(branches)
-    buf.write("setting_pair,correlation\n")
     if cfg["sampled"]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
         corr = {name: bell_mod.correlation_sampled(state, a, b, cfg["shots"], rng)
@@ -249,11 +241,16 @@ def _run_bell(cfg: dict, seed: int, buf) -> str:
         corr = {name: bell_mod.correlation(state, a, b) for name, a, b in settings.pairs()}
     report = bell_mod.chsh_summary(corr)
     chsh, classical = report["chsh_value"], report["lhv_bound"]
-    for name in ("a1b1", "a1b2", "a2b1", "a2b2"):
-        buf.write(f"{name},{corr[name]!r}\n")
-    buf.write(f"# chsh={chsh:.6f} lhv_bound={classical:.6f} margin={report['margin']:.6f}\n")
     mode = "sampled" if cfg["sampled"] else "exact"
-    return f"bell mode={mode} chsh={chsh:.6f} lhv_bound={classical:.6f}"
+    return (f"bell mode={mode} chsh={chsh:.6f} lhv_bound={classical:.6f}",
+            _table("setting_pair,correlation",
+                   [(name, corr[name]) for name in ("a1b1", "a1b2", "a2b1", "a2b2")],
+                   f"# chsh={chsh:.6f} lhv_bound={classical:.6f} margin={report['margin']:.6f}"))
+
+
+#: experiment -> runner(cfg, seed) returning (summary, write_body(fileobj))
+RUNNERS = {"qfunction": _run_qfunction, "classical-reverse": _run_reverse,
+           "echo": _run_echo, "friend": _run_friend, "bell": _run_bell}
 
 
 def main(argv=None) -> int:

@@ -45,8 +45,8 @@ MAX_SAMPLE_STEPS = 15 * MAX_SAMPLES
 #: cost 35-50 ns per sample on 2 CPUs): the default t_values at MAX_SAMPLES,
 #: 3e9 x 2 x 24 ns = 2.4 min
 MAX_RUN_SAMPLE_STEPS = 2 * MAX_SAMPLE_STEPS
-#: most rows per run: the stacked Lyapunov pass runs on one CPU at ~130 ns per
-#: point-step, so 1000 rows x 32 points x 4100 steps take ~17 s
+#: most rows per run: the stacked Lyapunov pass runs on one CPU at 118-151 ns per
+#: point-step (2-core Xeon VM), so 1000 rows x 32 points x 4100 steps take 16-20 s
 MAX_ROWS = 1000
 #: Lyapunov estimate: map steps before the tangent loop, tangent-map steps, and
 #: points averaged over

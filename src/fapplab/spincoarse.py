@@ -191,20 +191,20 @@ class QFunction:
     def write_csv(self, fileobj) -> None:
         """Columns theta, phi, weight, value with a mandatory header row.
 
-        On the product grid theta and the weight are constant along a
+        Written one theta-row at a time, so only that row's values are held as
+        text. On the product grid theta and the weight are constant along a
         theta-row and phi repeats in every row, so those columns are formatted
         once per distinct value and only the value column once per node.
         """
         n_phi = self.grid.n_phi
         phis = [repr(ph) for ph in self.grid.phis[:n_phi].tolist()]
-        values = [repr(v) for v in self.values.tolist()]
-        lines = ["theta,phi,weight,value\n"]
-        for row, (th, w) in enumerate(zip(self.grid.thetas[::n_phi].tolist(),
-                                          self.grid.weights[::n_phi].tolist())):
+        fileobj.write("theta,phi,weight,value\n")
+        for th, w, row in zip(self.grid.thetas[::n_phi].tolist(),
+                              self.grid.weights[::n_phi].tolist(),
+                              self.values.reshape(-1, n_phi)):
             head, tail = f"{th!r},", f",{w!r},"
-            lines += [f"{head}{ph}{tail}{v}\n"
-                      for ph, v in zip(phis, values[row * n_phi:(row + 1) * n_phi])]
-        fileobj.write("".join(lines))
+            fileobj.write("".join([f"{head}{ph}{tail}{v!r}\n"
+                                   for ph, v in zip(phis, row.tolist())]))
 
 
 def _check_density(rho: OperatorMatrix, dim: int):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import fapplab
 from fapplab import (bell as bell_mod, echo as echo_mod, friend as friend_mod, qcore,
-                     reversal as rev_mod)
+                     reversal as rev_mod, spincoarse as sc)
 from fapplab.cli import EXPERIMENTS, PARAM_TABLE, main, parse_config_file, resolve_config
 from fapplab.errors import ConfigError
 
@@ -98,8 +99,10 @@ class TestExitCodes:
         # a grid far below the spin band limit trips the tolerance machinery
         cfg = write_config(tmp_path / "c.cfg", experiment="qfunction", j="10",
                            grid_nodes="4")
-        assert run_cli("--config", cfg, "--out", str(tmp_path / "o.csv")) == 3
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", cfg, "--out", str(out)) == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment, key, value", [
         ("echo", "times", "5,0"),
@@ -284,6 +287,31 @@ class TestOutputs:
         assert lines[0] == "theta,phi,weight,value"
         values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert np.sum(values[:, 2] * values[:, 3]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_qfunction_file_is_streamed(self, tmp_path, monkeypatch):
+        # writing the file may add less than a quarter of its size to the peak
+        # the run reached through q_function_pure: no whole copy of the text
+        # is held (a buffered run holds several)
+        compute_peaks = []
+        q_function_pure = sc.q_function_pure
+
+        def recording(*args, **kwargs):
+            qf = q_function_pure(*args, **kwargs)
+            compute_peaks.append(tracemalloc.get_traced_memory()[1])
+            return qf
+
+        monkeypatch.setattr(sc, "q_function_pure", recording)
+        cfg = write_config(tmp_path / "c.cfg", experiment="qfunction", j="60")
+        out = tmp_path / "q.csv"
+        tracemalloc.start()
+        try:
+            assert run_cli("--config", cfg, "--out", str(out)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (compute_peak,) = compute_peaks
+        size = out.stat().st_size
+        assert peak - compute_peak < size / 4, f"{peak - compute_peak} B over, file {size} B"
 
     def test_friend_report_keys(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", experiment="friend", observer_dim="3")
