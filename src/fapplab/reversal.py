@@ -364,13 +364,9 @@ def lyapunov_rows(mapping: ReversibleMap, seeds) -> list:
         tangent /= norm
         np.log(norm, out=norm)
         acc += norm
-    estimates = []
-    for row in acc.reshape(-1, N_INIT):
-        total = 0.0
-        for a in row:  # left to right: np.sum pairs terms and would move the last bits
-            total += a / STEPS
-        estimates.append(total / N_INIT)
-    return estimates
+    # cumsum adds left to right, as a loop would; np.sum pairs terms and
+    # would move the last bits
+    return (np.cumsum(acc.reshape(-1, N_INIT) / STEPS, axis=1)[:, -1] / N_INIT).tolist()
 
 
 def bound(lyapunov_exponent: float, t: int) -> float:

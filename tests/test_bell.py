@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
+from fapplab import cli
 from fapplab.errors import ToleranceError
 from fapplab.qcore import OperatorMatrix, StateVector, partial_trace
-from fapplab.bell import (_SHOT_CHUNK, LAB_DIM, ChshSettings, MacroObservable,
+from fapplab.bell import (_SHOT_CHUNK, EIGENVALUE_TOL, LAB_DIM, ChshSettings, MacroObservable,
                           build_bell_state, chsh_summary, chsh_value, correlation,
                           correlation_sampled, default_branches, lhv_bound)
 
@@ -86,9 +87,42 @@ class TestMacroObservable:
         assert np.max(np.abs(obs.matrix.entries @ complement)) < 1e-12
 
     def test_invalid_spectrum_rejected(self, basis):
-        m = 0.5 * np.outer(basis[0].amplitudes, basis[0].amplitudes.conj())
-        with pytest.raises(ToleranceError):
-            MacroObservable(matrix=OperatorMatrix(m, kind="hermitian"))
+        up, down = (s.amplitudes for s in basis)
+        z = np.outer(up, up.conj()) - np.outer(down, down.conj())
+        e = StateVector.basis(LAB_DIM, 0).amplitudes
+        assert np.vdot(e, up) == np.vdot(e, down) == 0
+        bad = [OperatorMatrix(0.5 * np.outer(up, up.conj()), kind="hermitian"),
+               # A^3 = A, but +1 twice
+               OperatorMatrix(z + np.outer(e, e), kind="hermitian"),
+               # +1 moved to 1 + 3 EIGENVALUE_TOL
+               OperatorMatrix(z + 3 * EIGENVALUE_TOL * np.outer(up, up.conj()), kind="hermitian"),
+               basis[0].density()]  # kind "projector"
+        for matrix in bad:
+            with pytest.raises(ToleranceError):
+                MacroObservable(matrix=matrix)
+
+    def test_projectors_equal_eigenprojectors(self, basis, settings):
+        # the functional-calculus projectors against an eigendecomposition
+        observables = [settings.a1, settings.a2, settings.b1, settings.b2]
+        observables += [rotated_observable(basis, angle)
+                        for angle in np.linspace(-np.pi, np.pi, 24)]
+        for obs in observables:
+            evals, vecs = np.linalg.eigh(obs.matrix.entries)
+            got = obs.outcome_projectors()
+            for value in (1, -1, 0):
+                cols = vecs[:, np.abs(evals - value) < 1e-10]
+                assert np.max(np.abs(got[value] - cols @ cols.conj().T)) < 1e-12
+
+    def test_bell_runs_need_no_eigendecomposition(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called in a bell run")
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for name, lines in (("exact", []), ("sampled", ["sampled=true", "shots=2000"])):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text("\n".join(["experiment=bell"] + lines) + "\n", encoding="utf-8")
+            out = tmp_path / f"{name}.out"
+            assert cli.main(["--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+            assert out.exists()
 
     def test_outcome_projectors_are_stored_read_only(self, basis):
         obs = rotated_observable(basis, 0.7)
