@@ -5,7 +5,7 @@ measurement (classical and quantum), and Bell tests on observer-level records.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, GridOrderError, StageError, ToleranceError
-from .qcore import OperatorMatrix, StateVector, partial_trace, tensor, tensor_all
+from .qcore import OperatorMatrix, StateVector, partial_trace, tensor_all
 from .spincoarse import (QFunction, SolidAngle, SphereGrid, SpinSystem, bhattacharyya,
                          coherent_kernel, coherent_state, q_function, q_function_pure)
 from .reversal import (CellRegion, PhasePoint, ReversalConfig, ReversalResult,

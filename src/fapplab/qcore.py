@@ -8,7 +8,9 @@ elementwise, so global phases are irrelevant across the package.
 
 from __future__ import annotations
 
+import functools
 import math
+
 import numpy as np
 
 from .errors import ToleranceError
@@ -130,18 +132,9 @@ class OperatorMatrix(Immutable):
         return f"OperatorMatrix(dim={self.dim}, kind={self.kind!r})"
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two states (row-major order)."""
-    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
-        raise TypeError("tensor expects two StateVectors")
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
-
-
-def tensor_all(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor(out, f)
-    return out
+def tensor_all(factors) -> StateVector:
+    """Kronecker product of the states in `factors`, leftmost most significant."""
+    return StateVector(functools.reduce(np.kron, [f.amplitudes for f in factors]))
 
 
 def partial_trace(rho: OperatorMatrix, dims, keep) -> OperatorMatrix:

@@ -30,6 +30,15 @@ BHATTACHARYYA_EXCESS_TOL = 1e-8
 # Two states fit up to j = 89.5, so one thread runs from j = 90; one state
 # exceeds the budget from j = 127.5
 OVERLAP_CHUNK_BYTES = 2**20
+# Q nodes that `QFunction.write_csv` formats and writes as one str, rounded
+# down to whole theta-rows (at least one); a block's arrays take several
+# hundred bytes a node. At j = 60, 2048 keeps the write within 26 KB of the
+# peak the Q evaluation reached (the streaming test allows a quarter of the
+# 1.2 MB file), and 4096 went 791 KB over; numpy's per-call cost favours
+# larger blocks (j = 150 on a 2-core Xeon: 120, 97 and 81 ms at 1024, 2048
+# and 4096 nodes)
+CSV_BLOCK_NODES = 2048
+_NEWLINE = np.array([ord("\n")], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -189,22 +198,36 @@ class QFunction:
         return float(np.sum(self.grid.weights * self.values))
 
     def write_csv(self, fileobj) -> None:
-        """Columns theta, phi, weight, value with a mandatory header row.
+        """Columns theta, phi, weight, value with a mandatory header row; each
+        number is written as `repr` writes it.
 
-        Written one theta-row at a time, so only that row's values are held as
-        text. On the product grid theta and the weight are constant along a
-        theta-row and phi repeats in every row, so those columns are formatted
-        once per distinct value and only the value column once per node.
+        Written in blocks of whole theta-rows, about CSV_BLOCK_NODES nodes
+        each, so only one block is held as text at a time. On the product grid
+        theta and the weight are constant along a theta-row and phi repeats in
+        every row, so those columns are formatted once per distinct value; the
+        value column is formatted a block at a time by `floattext`, and each
+        block's lines are laid out in one byte array and written as one str.
         """
-        n_phi = self.grid.n_phi
-        phis = [repr(ph) for ph in self.grid.phis[:n_phi].tolist()]
+        from . import floattext  # imported on the first call, not by `import fapplab.cli`
+        grid, n_phi = self.grid, self.grid.n_phi
+        theta, weight = _text_fields(grid.thetas[::n_phi]), _text_fields(grid.weights[::n_phi])
+        phi = _text_fields(grid.phis[:n_phi])
+        step = max(1, CSV_BLOCK_NODES // n_phi)
         fileobj.write("theta,phi,weight,value\n")
-        for th, w, row in zip(self.grid.thetas[::n_phi].tolist(),
-                              self.grid.weights[::n_phi].tolist(),
-                              self.values.reshape(-1, n_phi)):
-            head, tail = f"{th!r},", f",{w!r},"
-            fileobj.write("".join([f"{head}{ph}{tail}{v!r}\n"
-                                   for ph, v in zip(phis, row.tolist())]))
+        for start in range(0, grid.n_theta, step):
+            rows = slice(start, start + step)
+            values = self.values.reshape(-1, n_phi)[rows]
+            shape = values.shape
+            text = np.concatenate([np.broadcast_to(f, shape + f.shape[-1:]) for f in (
+                theta[rows, None], phi[None], weight[rows, None],
+                floattext.text_slots(values.ravel()).reshape(shape + (-1,)), _NEWLINE)], axis=-1)
+            fileobj.write(text[text != 0].tobytes().decode("ascii"))
+
+
+def _text_fields(numbers: np.ndarray) -> np.ndarray:
+    """`repr` of each number and a comma, one NUL-padded row of bytes each."""
+    return np.array([f"{x!r},".encode("ascii") for x in numbers.tolist()]).view(
+        np.uint8).reshape(len(numbers), -1)
 
 
 def _check_density(rho: OperatorMatrix, dim: int):

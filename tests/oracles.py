@@ -12,7 +12,10 @@ observable builders give the branch-span observables at any angle, where
 in the closed-form coherent-state overlap law. The friend's two recordings,
 which the library applies by moving amplitudes, are here the dense gates
 summed from Kronecker products of projectors, to be lifted onto the full
-laboratory space.
+laboratory space. `tensor` is the two-factor Kronecker product of states that
+`tensor_all` folds without forming the intermediate states, and
+`write_csv_by_nodes` is `QFunction.write_csv` as it was before the value
+column was formatted in numpy blocks: one `repr` per node.
 """
 
 from __future__ import annotations
@@ -25,14 +28,34 @@ from fapplab.echo import SIGMA_BYPASS, GaussianPerturbation, SpectralHamiltonian
 from fapplab.errors import ToleranceError
 from fapplab.friend import LabSpace
 from fapplab.qcore import OperatorMatrix, StateVector
-from fapplab.spincoarse import (SolidAngle, SphereGrid, SpinSystem, bhattacharyya,
-                                q_function_pure)
+from fapplab.spincoarse import (QFunction, SolidAngle, SphereGrid, SpinSystem,
+                                bhattacharyya, q_function_pure)
 
 DIAGONAL_TOL = 1e-12
 
 Z_PLUS = np.array([1.0, 0.0], dtype=complex)
 Z_MINUS = np.array([0.0, 1.0], dtype=complex)
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two states (row-major order)."""
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        raise TypeError("tensor expects two StateVectors")
+    return StateVector(np.kron(a.amplitudes, b.amplitudes))
+
+
+def write_csv_by_nodes(qf: QFunction, fileobj) -> None:
+    """`QFunction.write_csv`'s text, one theta-row and one `repr` per node at a time."""
+    n_phi = qf.grid.n_phi
+    phis = [repr(ph) for ph in qf.grid.phis[:n_phi].tolist()]
+    fileobj.write("theta,phi,weight,value\n")
+    for th, w, row in zip(qf.grid.thetas[::n_phi].tolist(),
+                          qf.grid.weights[::n_phi].tolist(),
+                          qf.values.reshape(-1, n_phi)):
+        head, tail = f"{th!r},", f",{w!r},"
+        fileobj.write("".join([f"{head}{ph}{tail}{v!r}\n"
+                               for ph, v in zip(phis, row.tolist())]))
 
 
 def seeded_values(pert: GaussianPerturbation, index: int) -> np.ndarray:

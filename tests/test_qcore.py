@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fapplab.errors import ToleranceError
-from fapplab.qcore import OperatorMatrix, StateVector, partial_trace, tensor, tensor_all
+from fapplab.qcore import OperatorMatrix, StateVector, partial_trace, tensor_all
 
 from conftest import SIGMA_Z, random_state
+from oracles import tensor
 
 
 def sv(*amps):
@@ -146,3 +147,14 @@ def test_tensor_all_order():
     expected = np.zeros(8)
     expected[2] = 1.0  # binary 010, leftmost most significant
     assert_allclose(out.amplitudes, expected)
+
+
+def test_tensor_all_keeps_the_bits_of_pairwise_products(rng):
+    """One fold of np.kron over the amplitudes: the bits of the oracle's chain
+    of two-factor products, each a validated state."""
+    for dims in ((2,), (2, 3), (2, 2, 2, 3, 3), (3, 4, 2)):
+        factors = [StateVector(random_state(rng, d)) for d in dims]
+        chained = factors[0]
+        for f in factors[1:]:
+            chained = tensor(chained, f)
+        assert np.array_equal(tensor_all(factors).amplitudes, chained.amplitudes)

@@ -17,7 +17,7 @@ from fapplab.spincoarse import (QFunction, SolidAngle, SphereGrid,
                                 q_function_pure)
 
 from conftest import random_state, reference_node_overlaps
-from oracles import great_circle_angle
+from oracles import great_circle_angle, write_csv_by_nodes
 
 
 def spherical_harmonic(l, m, theta, phi):
@@ -273,6 +273,49 @@ class TestQFunction:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "theta,phi,weight,value"
         assert len(lines) == 1 + grid.size
+
+
+class TestCsvText:
+    """`write_csv` writes the text of the per-node `repr` loop, byte for byte."""
+
+    @staticmethod
+    def texts(qf):
+        new, old = io.StringIO(), io.StringIO()
+        qf.write_csv(new)
+        write_csv_by_nodes(qf, old)
+        return new.getvalue(), old.getvalue()
+
+    @pytest.mark.parametrize("j", [0.5, 2, 10, 60, 150])
+    def test_default_grid(self, j):
+        sys = SpinSystem(j)
+        grid = SphereGrid.for_spin(sys)
+        new, old = self.texts(q_function_pure(coherent_state(sys, SolidAngle(1.1, 0.4)), sys, grid))
+        assert new == old
+
+    def test_non_square_grid_and_a_ragged_last_block(self):
+        # 310 nodes a theta-row: 6 rows a block, and 5 in the last of 9
+        sys = SpinSystem(20)
+        grid = SphereGrid(53, 310)
+        assert grid.n_theta % (spincoarse.CSV_BLOCK_NODES // grid.n_phi) == 5
+        new, old = self.texts(q_function_pure(coherent_state(sys, SolidAngle(2.0, 5.0)), sys, grid))
+        assert new == old
+
+    def test_underflow_to_zero_at_the_largest_spin(self):
+        # the fewest nodes the order check admits at j = 500
+        sys = SpinSystem(500)
+        qf = q_function_pure(coherent_state(sys, SolidAngle(0.3, 1.0)), sys, SphereGrid(501, 1001))
+        assert np.count_nonzero(qf.values == 0.0) > qf.values.size // 10
+        new, old = self.texts(qf)
+        assert new == old
+
+    @pytest.mark.parametrize("nodes", [1, 10**6])
+    def test_block_size_moves_no_byte(self, nodes, monkeypatch):
+        # one theta-row a block, and the whole grid in one
+        sys = SpinSystem(7.5)
+        qf = q_function_pure(coherent_state(sys, SolidAngle(pi, 0.0)), sys, SphereGrid(17, 40))
+        monkeypatch.setattr(spincoarse, "CSV_BLOCK_NODES", nodes)
+        new, old = self.texts(qf)
+        assert new == old
 
 
 class TestSeparableRoute:
