@@ -135,9 +135,11 @@ def _round_to_odd(g3, g2, g1, g0, cp):
     return (y1 + (z < x1)) | (z > 1)
 
 
-def _shortest(magnitude):
-    """Shortest-closest decimal (s, k), v = s 10^k, for each positive finite
-    double given by its bits; s may carry trailing zeros."""
+def _scaled(magnitude):
+    """For each positive finite double v = c 2^q given by its bits: c, the
+    decimal exponent k, and x 10^-k rounded to odd for x = 4v and for x = 4
+    times each end of v's rounding interval, 4v -+ 2^(q+1) (4v - 2^q below
+    where the next value below is the closer one)."""
     field = magnitude >> _U(52)
     fraction = magnitude & _FRACTION
     normal = field != 0
@@ -153,6 +155,13 @@ def _shortest(magnitude):
     vb = _round_to_odd(g3, g2, g1, g0, cb << h)
     vbl = _round_to_odd(g3, g2, g1, g0, (cb - _U(2) + closer) << h)
     vbr = _round_to_odd(g3, g2, g1, g0, (cb + _U(2)) << h)
+    return c, k, vbl, vb, vbr
+
+
+def _shortest(magnitude):
+    """Shortest-closest decimal (s, k), v = s 10^k, for each positive finite
+    double given by its bits; s may carry trailing zeros."""
+    c, k, vbl, vb, vbr = _scaled(magnitude)
     odd = c & _U(1)
     lower, upper = vbl + odd, vbr - odd
     s = vb >> _U(2)

@@ -108,6 +108,28 @@ def test_scale_table():
         assert 0 <= ceiling - exact < 1
 
 
+def test_scaled_interval_is_rounded_to_odd_exactly():
+    # the 128-bit products against exact rationals: floor(x 10^-k), with the
+    # lowest bit set exactly when x 10^-k is no integer, for 4v and both ends
+    rng = np.random.default_rng(128)
+    values = np.concatenate([
+        rng.integers(1, 2**63 - 2**52, 4000, dtype=np.uint64).view(np.float64),  # positive
+        np.arange(1, 2001, dtype=np.float64), np.ldexp(1.0, np.arange(-1074, 1024, 7)),
+        [float(f"1e{k}") for k in range(-323, 309, 5)], [5e-324, 2.2250738585072014e-308]])
+    bits = values.view(np.uint64)
+    c, k, vbl, vb, vbr = (a.tolist() for a in floattext._scaled(bits))
+    exact_hits = 0
+    for word, c_, k_, scaled in zip(bits.tolist(), c, k, zip(vbl, vb, vbr)):
+        field, fraction = word >> 52, word & (2**52 - 1)
+        q = field - 1075 if field else -1074
+        closer = fraction == 0 and field > 1
+        for cp, got in zip((4 * c_ - 2 + closer, 4 * c_, 4 * c_ + 2), scaled):
+            x = Fraction(cp) * Fraction(2)**q / Fraction(10)**k_
+            assert got == x.numerator // x.denominator | (x.denominator != 1)
+            exact_hits += x.denominator == 1
+    assert exact_hits > 1000  # the exact case is exercised, not only the sticky one
+
+
 def test_decimal_exponent_formula():
     # k = floor(log10 2^q), and floor(log10 (3/4) 2^q) where the lower boundary is
     # closer, over every binary exponent of a double
