@@ -70,7 +70,7 @@ PARAM_TABLE = {
         "phi0": (_parse_float, 0.0),
         "sigma_scale": (_parse_float, 0.05),  # sigma = scale x mean level spacing
         "ensemble": (int, 500),
-        "times": (_parse_float_list, ()),  # empty -> 0, 1/sigma, 2/sigma, 4/sigma
+        "times": (_parse_float_list, ()),  # empty -> 0, 1/s, 2/s, 4/s; 0, 10, 20, 40 at s = 0
     },
     "friend": {
         "observer_dim": (int, 2),
@@ -209,7 +209,7 @@ def _run_echo(cfg: dict, seed: int):
                                          seed=seed + 1, h0=h0)
     times = cfg["times"]
     if not times:
-        times = (0.0, 10.0, 20.0, 40.0) if sigma < echo_mod.SIGMA_BYPASS else \
+        times = (0.0, 10.0, 20.0, 40.0) if sigma == 0 else \
             (0.0, 1 / sigma, 2 / sigma, 4 / sigma)
     psi = sc.coherent_state(sys_, sc.SolidAngle(cfg["theta0"], cfg["phi0"]))
     curve = echo_mod.echo_experiment(psi, h0, pert, np.array(times), cfg["ensemble"],

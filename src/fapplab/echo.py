@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import ToleranceError
 from .qcore import StateVector, owned
-from .spincoarse import (SphereGrid, SpinSystem, _coherent_magnitudes, _mixture_q,
-                         _node_overlaps, q_function_pure)
+from .spincoarse import SphereGrid, SpinSystem, _mixture_q, _node_overlaps, q_function_pure
 
 #: most member-time-node evaluations per run, the time bound: 61-65 ns each
 #: at j = 500 and 23-39 ns at j = 200, on one CPU and on two (one thread runs
@@ -40,7 +39,6 @@ MAX_RUN_OVERLAPS = 2**24
 #: j = 127, the largest spin whose grid MAX_RUN_EVALS admits for every member
 #: at one time; member states exist only one kernel chunk per thread at a time
 MAX_ENSEMBLE = 2**15
-SIGMA_BYPASS = 1e-15  # below this the ensemble collapses onto its means exactly
 SIGMA_SPACING_FACTOR = 0.2  # "spread well below the level spacing", made operational
 
 
@@ -162,12 +160,10 @@ class GaussianPerturbation:
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
-        if self.sigma >= SIGMA_BYPASS:
-            limit = SIGMA_SPACING_FACTOR * self.h0.min_spacing
-            if self.sigma >= limit:
-                raise ValueError(
-                    f"sigma {self.sigma} is not small against the level spacing "
-                    f"(limit {limit})")
+        limit = SIGMA_SPACING_FACTOR * self.h0.min_spacing
+        if self.sigma >= limit:
+            raise ValueError(
+                f"sigma {self.sigma} is not small against the level spacing (limit {limit})")
 
     def draw_values(self, members: range) -> np.ndarray:
         """Level shifts of the ensemble members in `members`, one row each.
@@ -176,13 +172,12 @@ class GaussianPerturbation:
         `default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))`: the stream
         is fixed by (seed, i) alone, whatever range the member is drawn in.
         `_seed_words` hashes every member's seed words in one pass, and each
-        member's `PCG64` is seeded from its own words.
+        member's `PCG64` is seeded from its own words. At sigma = 0 every row
+        is `means` bit for bit: each draw scales to +-0, and m + +-0 = m.
         """
         index = np.arange(members.start, members.stop, members.step, dtype=np.int64)
         if index.size and (index.min() < 0 or index.max() > _MASK):
             raise ValueError(f"ensemble indices must lie in [0, {_MASK}]")
-        if self.sigma < SIGMA_BYPASS:
-            return np.repeat(self.means[None, :], index.size, axis=0)
         # numpy.random stays out of the import of fapplab.cli
         from numpy.random import PCG64, Generator
         from numpy.random.bit_generator import ISeedSequence
@@ -211,6 +206,8 @@ def _check_pairing(h0: SpectralHamiltonian, pert: GaussianPerturbation):
 
 
 def _check_times(times: np.ndarray):
+    if not times.size:
+        raise ValueError("at least one time is required")
     if np.any(times < 0):
         raise ValueError("times must be non-negative")
     if np.any(np.diff(times) <= 0):
@@ -259,9 +256,9 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     each thread forms its chunk's states from the members' level shifts and
     reduces their Q-functions to one Bhattacharyya value per pair in the
     kernel's scratch overlaps, so no ensemble-sized complex array exists, and
-    a pair's value does not depend on which thread evaluated it. At t = 0, and
-    at every t when sigma is below SIGMA_BYPASS, every member is the same
-    state: member 0 alone is evaluated there and its value copied to all.
+    a pair's value does not depend on which thread evaluated it. At t = 0
+    every member is psi itself, so that column is read from psi's own Q and
+    the pass covers the times after it alone.
     """
     times = owned(times, float)
     _check_times(times)
@@ -282,27 +279,23 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     norm = (2 * sys.j + 1) / (4 * np.pi)
     values = pert.draw_values(range(ensemble_size))
 
-    # every member is one state at t = 0, and at every t when sigma < SIGMA_BYPASS
-    once = (times == 0.0) | (pert.sigma < SIGMA_BYPASS)
-    columns = np.concatenate([np.flatnonzero(once), np.flatnonzero(~once)])
-    n_once = int(once.sum())
-    count = n_once + ensemble_size * (times.size - n_once)
+    overlaps = np.empty((ensemble_size, times.size))
+    # times strictly increase from 0 or above: only times[0] can be 0
+    first = int(times[0] == 0.0)
+    overlaps[:, :first] = np.sum(np.sqrt(q_before.values) * weighted_before)
+    count = ensemble_size * (times.size - first)
 
     def pairs(chunk: slice):
-        """Members and time columns of the pairs in `chunk`: member 0 at the
-        `once` times, then every member at each other time, time-major. A
-        chunk inside one time gets a member slice and its column, which index
-        without building index arrays under the interpreter lock; only the
-        chunks that cross a time or hold `once` pairs build them."""
-        first, last = chunk.start - n_once, chunk.stop - 1 - n_once
-        if first >= 0 and first // ensemble_size == last // ensemble_size:
-            member = first % ensemble_size
-            return (slice(member, member + last - first + 1),
-                    columns[n_once + first // ensemble_size])
-        index = np.arange(first, last + 1)
-        later = index >= 0
-        return (np.where(later, index % ensemble_size, 0),
-                columns[n_once + np.where(later, index // ensemble_size, index)])
+        """Members and time columns of the pairs in `chunk`: every member at
+        each time after t = 0, time-major. A chunk inside one time gets a
+        member slice and its column, which index without building index
+        arrays under the interpreter lock; only the chunks that cross a time
+        build them."""
+        column, member = divmod(chunk.start, ensemble_size)
+        if column == (chunk.stop - 1) // ensemble_size:
+            return slice(member, member + chunk.stop - chunk.start), first + column
+        index = np.arange(chunk.start, chunk.stop)
+        return index % ensemble_size, first + index // ensemble_size
 
     def states(chunk: slice) -> np.ndarray:
         member, column = pairs(chunk)
@@ -312,8 +305,6 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
         phases *= psi.amplitudes
         return phases
 
-    overlaps = np.empty((ensemble_size, times.size))
-
     def reduce_pairs(chunk: slice, q_after: np.ndarray) -> None:
         q_after *= norm
         np.sqrt(q_after, out=q_after)
@@ -321,7 +312,6 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
         overlaps[pairs(chunk)] = q_after.sum(axis=1)
 
     _node_overlaps(sys, grid, count, states, count, reduce_pairs)
-    overlaps[1:, once] = overlaps[0, once]
     np.clip(overlaps, 0.0, 1.0, out=overlaps)
 
     mean = overlaps.mean(axis=0)
@@ -342,14 +332,13 @@ def averaged_q_formula(psi: StateVector, h0: SpectralHamiltonian, pert: Gaussian
         <Q(Omega,t)> = |<Omega|phi(t)>|^2 e^{-(sigma t)^2/2} * (2j+1)/(4pi)
                        + (1 - e^{-(sigma t)^2/2}) sum_m |psi_m|^2 |<Omega|m>|^2 * (2j+1)/(4pi)
 
-    with phi_m(t) = psi_m e^{i W_m t}.
+    with phi_m(t) = psi_m e^{i W_m t}: the Q-function of the mixture
+    damping |phi><phi| + (1 - damping) sum_m |psi_m|^2 |m><m|, evaluated in
+    one pass over the states phi, |-j>, ..., |+j>.
     """
     _check_pairing(h0, pert)
     damping = np.exp(-(pert.sigma * t) ** 2 / 2.0)
     phi = np.exp(1j * pert.means * t) * psi.amplitudes
-    coherent_part = _mixture_q(sys, grid, np.ones(1), phi[None, :])
-    # |<Omega|m>|^2 does not depend on phi: one contraction per theta-row
-    magnitudes = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
-    dephased_rows = magnitudes ** 2 @ np.abs(psi.amplitudes) ** 2
-    dephased_part = (2 * sys.j + 1) / (4 * np.pi) * np.repeat(dephased_rows, grid.n_phi)
-    return damping * coherent_part + (1.0 - damping) * dephased_part
+    weights = np.concatenate([[damping], (1.0 - damping) * np.abs(psi.amplitudes) ** 2])
+    states = np.concatenate([phi[None, :], np.eye(sys.dim)])
+    return _mixture_q(sys, grid, weights, states)

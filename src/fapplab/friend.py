@@ -201,13 +201,13 @@ def _purity(rho: OperatorMatrix) -> float:
 
 def message_mutual_information(state: LabState) -> float:
     """Mutual information between the message and the rest (0 for a product state)."""
-    return _mutual_information(state, message_reduced_state(state))
+    return _mutual_information(message_reduced_state(state))
 
 
-def _mutual_information(state: LabState, rho5: OperatorMatrix) -> float:
-    m = state.psi.amplitudes.reshape(-1, 3)
-    s14 = _entropy(_reduced(m @ m.conj().T))
-    return _entropy(rho5) + s14  # global state is pure, so S(total) = 0
+def _mutual_information(rho5: OperatorMatrix) -> float:
+    """S(rho_1-4) + S(rho5) - S(total): the global state is pure, so S(total)
+    = 0 and, by its Schmidt decomposition, S(rho_1-4) = S(rho5)."""
+    return 2 * _entropy(rho5)
 
 
 def _entropy(rho: OperatorMatrix) -> float:
@@ -244,5 +244,5 @@ def run_pipeline(space: LabSpace) -> dict:
         "p_minus_post_message": p_minus_post,
         "p_rest_post_message": p_rest_post,
         "message_purity": _purity(rho5),
-        "message_mutual_information": _mutual_information(state_msg, rho5),
+        "message_mutual_information": _mutual_information(rho5),
     }

@@ -24,7 +24,7 @@ import numpy as np
 
 from fapplab.bell import (ChshSettings, MacroObservable, _branch_matrices, _macro, _rotated,
                           chsh_from_correlations, correlation_sampled)
-from fapplab.echo import SIGMA_BYPASS, GaussianPerturbation, SpectralHamiltonian
+from fapplab.echo import GaussianPerturbation, SpectralHamiltonian
 from fapplab.errors import ToleranceError
 from fapplab.friend import LabSpace
 from fapplab.qcore import OperatorMatrix, StateVector
@@ -62,8 +62,6 @@ def seeded_values(pert: GaussianPerturbation, index: int) -> np.ndarray:
     """Level shifts of ensemble member `index` through its own numpy
     `SeedSequence(entropy=seed, spawn_key=(index,))`, the stream that
     `draw_values` seeds for a whole range of members at once."""
-    if pert.sigma < SIGMA_BYPASS:
-        return pert.means.copy()
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=pert.seed, spawn_key=(index,)))
     return pert.means + pert.sigma / np.sqrt(2.0) * rng.standard_normal(pert.means.size)

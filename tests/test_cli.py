@@ -385,10 +385,10 @@ class TestReproducibility:
             made.append(built - before)
         # bell: two branch states and the pair state, four observables on
         # their matrices; friend: four stage states, two branches and two
-        # superpositions, the message gate and two reduced states
+        # superpositions, the message gate and the message's reduced state
         assert made[0] == made[1] == Counter(observables=4, states=3, operators=4)
         assert made[2] == made[3] == Counter(branch_states=1, superpositions=1,
-                                             states=8, operators=3)
+                                             states=8, operators=2)
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert outs[2].read_bytes() == outs[3].read_bytes()
 

@@ -51,7 +51,7 @@ class TestGaussianPerturbation:
             GaussianPerturbation(sigma=0.5 * h0.min_spacing, means=np.zeros(sys_.dim),
                                  seed=0, h0=h0)
 
-    def test_zero_sigma_bypass_is_exact(self, small_setup):
+    def test_zero_sigma_draws_the_means(self, small_setup):
         sys_, _, h0 = small_setup
         means = np.linspace(-1, 1, sys_.dim) * 0.01
         pert = GaussianPerturbation(sigma=0.0, means=means, seed=0, h0=h0)
@@ -99,7 +99,7 @@ class TestGaussianPerturbation:
         with pytest.raises(ValueError, match="indices"):
             pert.draw_values(range(-1, 2))
 
-    # one-word, multi-word and >= 2**128 entropies, and the sigma = 0 bypass
+    # one-word, multi-word and >= 2**128 entropies, and sigma = 0
     @pytest.mark.parametrize("seed, sigma", [
         (seed, 0.05) for seed in (0, 1, 7, 2**31 - 1, 2**32, 2**32 + 5, 2**64 + 3,
                                   2**127 + 11, 2**140 + 9, 12345678901234567890)
@@ -279,6 +279,23 @@ class TestEchoExperiment:
         curve = echo_experiment(psi, h0, pert, [0.0, 5.0, 50.0], 100, sys_, grid)
         assert_allclose(curve.mean_overlap, 1.0, atol=1e-8)
 
+    def test_overlap_depends_on_sigma_t_alone(self):
+        # with zero means a member's phases are N sigma t / sqrt(2): (sigma, t)
+        # and (sigma / 100, 100 t) give one curve down to the smallest sigma
+        sys_ = SpinSystem(3)
+        grid = SphereGrid.for_spin(sys_)
+        h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=1)
+        psi = coherent_state(sys_, SolidAngle(1.0, 0.3))
+        for scale in (1e-13, 1e-14, 1e-15, 1e-16, 1e-17):
+            s = scale * h0.mean_spacing
+            curves = []
+            for sigma, t in ((s, 1 / s), (s / 100, 100 / s)):
+                pert = GaussianPerturbation(sigma=sigma, means=np.zeros(sys_.dim), seed=2, h0=h0)
+                curves.append(echo_experiment(psi, h0, pert, [0.0, t], 100,
+                                              sys_, grid).mean_overlap)
+            assert_allclose(curves[0], curves[1], rtol=0, atol=1e-9, err_msg=f"{scale}")
+            assert curves[0][1] < 0.99, scale  # the curve has decayed at sigma t = 1
+
     def test_run_caps_checked_before_any_draw(self, monkeypatch):
         def must_not_run(self, members):
             raise AssertionError("a member was drawn before the run size was checked")
@@ -300,6 +317,11 @@ class TestEchoExperiment:
                 echo_experiment(psi, h0, pert, np.arange(times, dtype=float), MAX_ENSEMBLE,
                                 sys_, grid)
 
+    def test_empty_times_rejected(self, echo_run):
+        sys_, grid, h0, pert, psi, _ = echo_run
+        with pytest.raises(ValueError, match="at least one time"):
+            echo_experiment(psi, h0, pert, [], 100, sys_, grid)
+
     def test_minimum_ensemble(self, echo_run):
         sys_, grid, h0, pert, psi, _ = echo_run
         with pytest.raises(ValueError):
@@ -320,8 +342,8 @@ class TestEchoExperiment:
 
 def reference_echo(psi, h0, pert, times, ensemble_size, sys_, grid):
     """echo_experiment's member loop as it was before the in-place reduction
-    and the equal-member shortcut: every member of every time through the
-    allocate-per-chunk reference kernel."""
+    and the t = 0 column read from psi's Q: every member of every time through
+    the allocate-per-chunk reference kernel."""
     q_before = q_function_pure(psi, sys_, grid)
     weighted_before = grid.weights * np.sqrt(q_before.values)
     norm = (2 * sys_.j + 1) / (4 * np.pi)
@@ -336,8 +358,8 @@ def reference_echo(psi, h0, pert, times, ensemble_size, sys_, grid):
 
 
 class TestEchoBuffers:
-    """The in-place member reduction and the one-member shortcut keep the bits
-    of the reference loop, at every chunk budget."""
+    """The in-place member reduction and the t = 0 column read from psi's Q
+    keep the bits of the reference loop, at every chunk budget."""
 
     J = 12
     ENSEMBLE = 100
@@ -385,7 +407,7 @@ class TestEchoBuffers:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_any_cpu_count_matches_reference_loop_bits(self, setup, cpus, monkeypatch):
         # 96 states fit the budget at j = 12: 32 a chunk on 3 threads and 12
-        # on 8, so with t = 0 the last chunk of 301 pairs holds 13 and 1
+        # on 8, so the last chunk of the 300 pairs holds 12 on 3 threads
         monkeypatch.setattr(parallel, "CPUS", cpus)
         curve = echo_experiment(*setup)
         mean, std_error = reference_echo(*setup)
@@ -414,8 +436,8 @@ class TestEchoBuffers:
         monkeypatch.setattr(echo_mod, "_node_overlaps", sizing)
         curve = echo_experiment(*setup)
         mean, std_error = reference_echo(*setup)
-        threads = min(cpus, sum(sizes))  # sigma = 0 evaluates 4 pairs in all
-        assert max(sizes) == min(sum(sizes), per_chunk * cpus // threads)
+        assert sum(sizes) == 300  # 100 members at the three times after t = 0
+        assert max(sizes) == per_chunk
         assert np.array_equal(curve.mean_overlap, mean)
         assert np.array_equal(curve.std_error, std_error)
 
@@ -424,10 +446,8 @@ class TestEchoBuffers:
     def test_chunks_crossing_a_time_match_reference_loop_bits(self, setup, cpus, ensemble,
                                                              monkeypatch):
         # 7 states a chunk on every thread, against 100 and 150 members a
-        # time: where t = 0 is evaluated, the first chunk holds its pair and
-        # members of the next time, and a time's last chunk mostly runs into
-        # the next time's members; those chunks index with arrays, the rest
-        # with slices
+        # time after t = 0: a time's last chunk mostly runs into the next
+        # time's members; those chunks index with arrays, the rest with slices
         psi, h0, pert, times, _, sys_, grid = setup
         args = psi, h0, pert, times, ensemble, sys_, grid
         monkeypatch.setattr(parallel, "CPUS", cpus)
@@ -443,16 +463,16 @@ class TestEchoBuffers:
         monkeypatch.setattr(echo_mod, "_node_overlaps", recording)
         curve = echo_experiment(*args)
         mean, std_error = reference_echo(*args)
-        once = int(np.sum((times == 0.0) | (pert.sigma < echo_mod.SIGMA_BYPASS)))
-        count = once + ensemble * (times.size - once)
-        starts = range(once, count, ensemble)  # where each time's members begin
+        count = ensemble * int(np.sum(times > 0))  # sigma = 0 included
+        starts = range(ensemble, count, ensemble)  # where each later time's members begin
         crossing = [c for c in chunks if any(c.start < b < c.stop for b in starts)]
-        assert max(c.stop - c.start for c in chunks) == min(count, 7)
-        assert crossing or count == once  # sigma = 0 evaluates the 4 once pairs alone
+        assert sum(c.stop - c.start for c in chunks) == count
+        assert max(c.stop - c.start for c in chunks) == 7
+        assert crossing
         assert np.array_equal(curve.mean_overlap, mean)
         assert np.array_equal(curve.std_error, std_error)
 
-    def test_one_member_evaluated_when_all_are_equal(self, setup, monkeypatch):
+    def test_zero_time_adds_no_kernel_pair(self, setup, monkeypatch):
         rows = []
 
         def counting(sys_, grid, count, states, most, reduce):
@@ -462,9 +482,8 @@ class TestEchoBuffers:
         monkeypatch.setattr(echo_mod, "_node_overlaps", counting)
         psi, h0, pert, times, ensemble, sys_, grid = setup
         echo_experiment(*setup)
-        bypass = pert.sigma < echo_mod.SIGMA_BYPASS
-        # one pass over every evaluated (member, time) pair
-        assert rows == [sum(1 if (t == 0.0 or bypass) else ensemble for t in times)]
+        # one pass over every member at each time after t = 0, at sigma = 0 too
+        assert rows == [ensemble * int(np.sum(times > 0))]
 
     @staticmethod
     def j50_run(ensemble):

@@ -358,16 +358,19 @@ class TestAreaPreservation:
             assert abs(np.linalg.det(j) - 1.0) < 1e-12
 
     def test_covariance_volume_short_time(self, rng):
-        # one chaotic step of a small cell is linear to good accuracy;
-        # evaluated on the unwrapped lift so the torus seam cannot split the cloud
-        region = CellRegion(center=PhasePoint(3.0, 2.0), half_width=0.025)
+        # one chaotic step bends the cell, which biases the covariance ratio
+        # by the curvature across it: 1 + 0.0385 at half-width 0.025, but
+        # 1 + 0.0004 at 0.0025, where the step is linear to 4e-4 and the test
+        # measures the area; evaluated on the unwrapped lift so the torus
+        # seam cannot split the cloud
+        region = CellRegion(center=PhasePoint(3.0, 2.0), half_width=0.0025)
         q, p = region.sample(rng, rng, 100000)
         vol_in = np.linalg.det(np.cov(np.vstack([q, p])))
         p = p + 3.0 * np.sin(q)
         q = q + p
         p = p + 3.0 * np.sin(q)
         vol_out = np.linalg.det(np.cov(np.vstack([q, p])))
-        assert vol_out == pytest.approx(vol_in, rel=0.05)
+        assert vol_out == pytest.approx(vol_in, rel=0.005)
 
     def test_shear_preserves_covariance_20_steps(self, rng):
         # integrable limit on the unwrapped plane: exact unimodular shear
