@@ -9,8 +9,8 @@ from .qcore import OperatorMatrix, StateVector, partial_trace, tensor_all
 from .spincoarse import (QFunction, SolidAngle, SphereGrid, SpinSystem, bhattacharyya,
                          coherent_kernel, coherent_state, q_function, q_function_pure)
 from .reversal import (CellRegion, PhasePoint, ReversalConfig, ReversalResult,
-                       ReversibleMap, bound, lyapunov, lyapunov_rows,
-                       reversal_probabilities, reversal_probability)
+                       ReversibleMap, bound, lyapunov, reversal_probabilities,
+                       reversal_probability)
 from .echo import (EchoCurve, GaussianPerturbation, SpectralHamiltonian,
                    averaged_q_formula, echo_experiment)
 from .friend import (LabSpace, LabState, interference_measurement,

@@ -145,15 +145,10 @@ def _largest_form(corr: dict) -> tuple[str, float]:
     return name, abs(forms[name])
 
 
-def chsh_from_correlations(corr: dict) -> float:
-    """Largest |CHSH form| from a {setting pair: correlation} dict."""
-    return _largest_form(corr)[1]
-
-
 def chsh_value(state: StateVector, settings: ChshSettings) -> float:
     """CHSH value of the exact correlations."""
-    return chsh_from_correlations({name: correlation(state, a, b)
-                                   for name, a, b in settings.pairs()})
+    return _largest_form({name: correlation(state, a, b)
+                          for name, a, b in settings.pairs()})[1]
 
 
 def lhv_bound() -> float:
@@ -164,8 +159,8 @@ def lhv_bound() -> float:
     """
     best = 0
     for a1, a2, b1, b2 in itertools.product((-1, 1), repeat=4):
-        best = max(best, chsh_from_correlations(
-            {"a1b1": a1 * b1, "a1b2": a1 * b2, "a2b1": a2 * b1, "a2b2": a2 * b2}))
+        best = max(best, _largest_form(
+            {"a1b1": a1 * b1, "a1b2": a1 * b2, "a2b1": a2 * b1, "a2b2": a2 * b2})[1])
     return float(best)
 
 

@@ -209,6 +209,9 @@ def _run_echo(cfg: dict, seed: int):
                                          seed=seed + 1, h0=h0)
     times = cfg["times"]
     if not times:
+        if sigma and not isfinite(4 / sigma):
+            raise ConfigError(f"sigma_scale={cfg['sigma_scale']!r} gives sigma={sigma!r}, whose "
+                              "default time 4/sigma is not finite; give times= instead")
         times = (0.0, 10.0, 20.0, 40.0) if sigma == 0 else \
             (0.0, 1 / sigma, 2 / sigma, 4 / sigma)
     psi = sc.coherent_state(sys_, sc.SolidAngle(cfg["theta0"], cfg["phi0"]))

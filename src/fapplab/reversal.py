@@ -254,8 +254,8 @@ def reversal_probability(cfg: ReversalConfig, lyapunov_estimate: float) -> Rever
     stays O(chunk) per thread for any sample count, on up to MAX_THREADS threads
     that each take the next chunk when they are ready for one
     (`parallel.run_shared`). The draws are those of one
-    `region.sample(rng, rng, samples)`: a thread takes its q from a generator
-    on the row's seed advanced to its chunk's first sample, and its p from one
+    `region.sample(rng, rng, samples)`: a chunk takes its q from a generator
+    on the row's seed advanced to its first sample, and its p from one
     advanced past all q draws as well, as each uniform double takes one 64-bit
     output. Every sample thus meets the same draws and steps whichever thread
     takes its chunk, and the integer hit counts add up exactly.
@@ -268,15 +268,11 @@ def reversal_probability(cfg: ReversalConfig, lyapunov_estimate: float) -> Rever
 
     def count_hits(starts) -> None:
         sines = np.empty(min(_CHUNK, cfg.samples))
-        q_bits, p_bits = np.random.PCG64(seed), np.random.PCG64(seed)
-        p_bits.advance(cfg.samples)
-        q_rng, p_rng = np.random.Generator(q_bits), np.random.Generator(p_bits)
-        drawn = hits = 0  # samples the generators have been advanced past
+        hits = 0
         for start in starts:
-            q_bits.advance(start - drawn)
-            p_bits.advance(start - drawn)
-            drawn = min(start + _CHUNK, cfg.samples)
-            q, p = cfg.region.sample(q_rng, p_rng, drawn - start)
+            q_rng = np.random.Generator(np.random.PCG64(seed).advance(start))
+            p_rng = np.random.Generator(np.random.PCG64(seed).advance(cfg.samples + start))
+            q, p = cfg.region.sample(q_rng, p_rng, min(_CHUNK, cfg.samples - start))
             sine = np.sin(q, out=sines[:q.size])
             cfg.map._step(q, p, sine, cfg.steps)
             _flip(p)  # q and so its sine are unchanged
@@ -301,7 +297,7 @@ def _lyapunov_seed(seed: int) -> np.random.SeedSequence:
 
 def reversal_probabilities(configs) -> list:
     """`reversal_probability` of every config, in order, with all exponents
-    estimated by one `lyapunov_rows` pass per map: rows with the same map and
+    estimated by one `lyapunov` pass per map: rows with the same map and
     seed share one estimate, and the rest are stacked. Checks the run caps first.
     """
     configs = list(configs)
@@ -312,26 +308,21 @@ def reversal_probabilities(configs) -> list:
     estimates = {}
     for mapping in dict.fromkeys(cfg.map for cfg in configs):
         seeds = list(dict.fromkeys(cfg.seed for cfg in configs if cfg.map == mapping))
-        lams = lyapunov_rows(mapping, [_lyapunov_seed(seed) for seed in seeds])
+        lams = lyapunov(mapping, [_lyapunov_seed(seed) for seed in seeds])
         estimates.update(((mapping, seed), lam) for seed, lam in zip(seeds, lams))
     return [reversal_probability(cfg, estimates[cfg.map, cfg.seed]) for cfg in configs]
 
 
-def lyapunov(mapping: ReversibleMap, seed) -> float:
-    """Largest Lyapunov exponent by STEPS tangent-map iterations with
-    renormalization, averaged over N_INIT random initial points. Non-chaotic
-    regimes give ~0. `seed` is anything `np.random.default_rng` accepts.
-    """
-    return lyapunov_rows(mapping, [seed])[0]
-
-
-def lyapunov_rows(mapping: ReversibleMap, seeds) -> list:
-    """`lyapunov(mapping, seed)` for every seed, in order, from one
-    tangent-map loop over all rows' initial points.
+def lyapunov(mapping: ReversibleMap, seeds) -> list:
+    """Largest Lyapunov exponent of `mapping` for every seed, in order, by
+    STEPS tangent-map iterations with renormalization, averaged over N_INIT
+    random initial points. Non-chaotic regimes give ~0. A seed is anything
+    `np.random.default_rng` accepts.
 
     Each seed draws its N_INIT points from its own generator, and every
-    operation of the loop is elementwise, so stacking the rows moves no bit
-    (Benettin, Galgani, Giorgilli & Strelcyn, Meccanica 15, 9 (1980)).
+    operation of the one tangent-map loop over all seeds' points is
+    elementwise, so stacking the seeds moves no bit (Benettin, Galgani,
+    Giorgilli & Strelcyn, Meccanica 15, 9 (1980)).
     """
     half_kick = 0.5 * mapping.kick_strength
     # row-wise draws keep the RNG order

@@ -16,6 +16,9 @@ laboratory space. `tensor` is the two-factor Kronecker product of states that
 `tensor_all` folds without forming the intermediate states, and
 `write_csv_by_nodes` is `QFunction.write_csv` as it was before the value
 column was formatted in numpy blocks: one `repr` per node.
+`lattice_reversal_probability` runs the reversal protocol on a midpoint
+lattice of the cell with plain np.remainder steps, where `reversal_probability`
+draws Monte-Carlo samples and steps them with narrowed wraps.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from fapplab.bell import (ChshSettings, MacroObservable, _branch_matrices, _macro, _rotated,
-                          chsh_from_correlations, correlation_sampled)
+                          chsh_summary, correlation_sampled)
 from fapplab.echo import GaussianPerturbation, SpectralHamiltonian
 from fapplab.errors import ToleranceError
 from fapplab.friend import LabSpace
@@ -32,6 +35,7 @@ from fapplab.spincoarse import (QFunction, SolidAngle, SphereGrid, SpinSystem,
                                 bhattacharyya, q_function_pure)
 
 DIAGONAL_TOL = 1e-12
+TWO_PI = 2.0 * np.pi
 
 Z_PLUS = np.array([1.0, 0.0], dtype=complex)
 Z_MINUS = np.array([0.0, 1.0], dtype=complex)
@@ -110,8 +114,51 @@ def reversibility_measure(psi: StateVector, h0: SpectralHamiltonian, v: Operator
 
 def chsh_value_sampled(state: StateVector, settings: ChshSettings, shots: int,
                        rng: np.random.Generator) -> float:
-    return chsh_from_correlations({name: correlation_sampled(state, a, b, shots, rng)
-                                   for name, a, b in settings.pairs()})
+    return chsh_summary({name: correlation_sampled(state, a, b, shots, rng)
+                         for name, a, b in settings.pairs()})["chsh_value"]
+
+
+def _plain_step(kick, q, p):
+    """One kick-drift-kick step of the symmetrized standard map, each
+    coordinate wrapped by np.remainder."""
+    p = np.remainder(p + 0.5 * kick * np.sin(q), TWO_PI)
+    q = np.remainder(q + p, TWO_PI)
+    p = np.remainder(p + 0.5 * kick * np.sin(q), TWO_PI)
+    return q, p
+
+
+def lattice_reversal_probability(kick: float, perturbed_kick: float, steps: int,
+                                 center: tuple, half_width: float, n: int = 512):
+    """The reversal protocol on the n x n midpoint lattice of the cell:
+    `steps` steps of the true map, the flip p -> -p, `steps` steps of the
+    perturbed map, the flip again, then the cell test.
+
+    Returns (the share of lattice points that return, the share with a
+    4-neighbour on the other side of the return set's boundary). The first
+    is the midpoint rule for the return probability; its error is at most
+    the share of lattice cells that the boundary crosses, which the second
+    bounds once the lattice resolves the boundary's folds.
+    """
+    cq, cp = center
+    offsets = ((np.arange(n) + 0.5) / n * 2 - 1) * half_width
+    dq, dp = np.meshgrid(offsets, offsets, indexing="ij")
+    q, p = np.remainder(cq + dq, TWO_PI), np.remainder(cp + dp, TWO_PI)
+    for _ in range(steps):
+        q, p = _plain_step(kick, q, p)
+    p = np.remainder(-p, TWO_PI)
+    for _ in range(steps):
+        q, p = _plain_step(perturbed_kick, q, p)
+    p = np.remainder(-p, TWO_PI)
+    dq = np.remainder(q - cq + np.pi, TWO_PI) - np.pi
+    dp = np.remainder(p - cp + np.pi, TWO_PI) - np.pi
+    inside = (np.abs(dq) <= half_width) & (np.abs(dp) <= half_width)
+    rows, cols = inside[1:] != inside[:-1], inside[:, 1:] != inside[:, :-1]
+    edge = np.zeros_like(inside)
+    edge[1:] |= rows
+    edge[:-1] |= rows
+    edge[:, 1:] |= cols
+    edge[:, :-1] |= cols
+    return float(inside.mean()), float(edge.mean())
 
 
 def branch_projection_observable(branches) -> MacroObservable:

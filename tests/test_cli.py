@@ -142,7 +142,7 @@ class TestExitCodes:
         def must_not_run(*args, **kwargs):
             raise AssertionError("a reversal row ran before every row was validated")
 
-        for name in ("reversal_probabilities", "reversal_probability", "lyapunov_rows"):
+        for name in ("reversal_probabilities", "reversal_probability", "lyapunov"):
             monkeypatch.setattr(rev_mod, name, must_not_run)
         cfg = write_config(tmp_path / "c.cfg", experiment="classical-reverse",
                            t_values="5,-1")
@@ -160,7 +160,7 @@ class TestExitCodes:
         def must_not_run(*args, **kwargs):
             raise AssertionError("a reversal row ran before the run caps were checked")
 
-        for name in ("reversal_probability", "lyapunov_rows"):
+        for name in ("reversal_probability", "lyapunov"):
             monkeypatch.setattr(rev_mod, name, must_not_run)
         cfg = write_config(tmp_path / "c.cfg", experiment="classical-reverse",
                            t_values=t_values)
@@ -205,6 +205,17 @@ class TestExitCodes:
         out = tmp_path / "o.csv"
         assert run_cli("--config", cfg, "--out", str(out)) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echo_rejects_subnormal_sigma_without_times(self, tmp_path, capsys):
+        # the default times 0, 1/sigma, 2/sigma, 4/sigma overflow to inf; the
+        # error once named no parameter
+        cfg = write_config(tmp_path / "c.cfg", experiment="echo", j="2", ensemble="100",
+                           sigma_scale="1e-320")
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "sigma_scale" in err and "times=" in err
         assert not out.exists()
 
     def test_sampled_bell_rejects_huge_shots_before_drawing_any(self, tmp_path, capsys,
@@ -344,13 +355,13 @@ class TestReproducibility:
         # nothing carries over between runs in one process: each estimates its
         # exponents again, all rows in one pass
         passes = []
-        rows = rev_mod.lyapunov_rows
+        rows = rev_mod.lyapunov
 
         def counting_rows(mapping, seeds, *args, **kwargs):
             passes.append(len(seeds))
             return rows(mapping, seeds, *args, **kwargs)
 
-        monkeypatch.setattr(rev_mod, "lyapunov_rows", counting_rows)
+        monkeypatch.setattr(rev_mod, "lyapunov", counting_rows)
         cfg = write_config(tmp_path / "c.cfg", experiment="classical-reverse", samples="400")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli("--config", cfg, "--seed", "7", "--out", str(a)) == 0

@@ -5,14 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from fapplab import parallel, reversal
 from fapplab.reversal import (_CHUNK, MAX_ROWS, MAX_RUN_SAMPLE_STEPS, MAX_SAMPLE_STEPS,
                               MAX_SAMPLES, N_INIT, STEPS, TRANSIENT, TWO_PI, CellRegion,
                               PhasePoint, ReversalConfig, ReversibleMap, _flip, _wrap_down,
-                              _wrap_once, bound, lyapunov, lyapunov_rows,
-                              reversal_probabilities, reversal_probability)
+                              _wrap_once, bound, lyapunov, reversal_probabilities,
+                              reversal_probability)
+
+from oracles import lattice_reversal_probability
 
 
 def make_config(**overrides):
@@ -444,6 +446,32 @@ class TestReversalProbability:
             make_config(samples=100, steps=MAX_SAMPLE_STEPS // 100 + 1)
 
 
+#: (t, K, K', cell center) of the lattice comparisons: the default cell at
+#: t = 1 and t = 3, a cell across the 0/2pi seam in both coordinates, and
+#: kicks above 4pi, which step by np.remainder
+LATTICE_POINTS = [(1, 6.0, 6.01, (3.0, 2.0)), (3, 6.0, 6.01, (3.0, 2.0)),
+                  (2, 6.0, 6.01, (0.01, 6.27)), (2, 13.0, 13.01, (3.0, 2.0))]
+
+
+class TestLatticeOracle:
+    @pytest.mark.parametrize("steps, kick, perturbed_kick, center", LATTICE_POINTS)
+    def test_probability_matches_midpoint_lattice(self, steps, kick, perturbed_kick, center):
+        # The hit count is Binomial(samples, P). Its exact (Clopper-Pearson)
+        # interval at 1e-6 / 4 misses P with probability at most that, so the
+        # four points together at most 1e-6; the lattice value stands for P
+        # within its boundary share, so the interval widens by that share.
+        samples, alpha = 10**5, 1e-6 / len(LATTICE_POINTS)
+        want, refinement = lattice_reversal_probability(kick, perturbed_kick, steps,
+                                                        center, 0.025)
+        cfg = make_config(map=ReversibleMap(kick), perturbed_kick=perturbed_kick,
+                          steps=steps, region=CellRegion(PhasePoint(*center), 0.025),
+                          samples=samples, seed=11)
+        hits = round(reversal_probability(cfg, 1.0).probability * samples)
+        low = beta.ppf(alpha / 2, hits, samples - hits + 1) if hits else 0.0
+        high = beta.isf(alpha / 2, hits + 1, samples - hits) if hits < samples else 1.0
+        assert low - refinement <= want <= high + refinement, f"{hits} hits, lattice {want}"
+
+
 class TestStreamedMonteCarlo:
     @pytest.mark.parametrize("samples", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
     def test_chunks_equal_all_at_once_route(self, monkeypatch, samples):
@@ -560,15 +588,15 @@ class TestBatchedRows:
                    make_config(map=ReversibleMap(0.3), perturbed_kick=0.31, steps=5,
                                samples=200, seed=1)]
         want = [reversal_probability(
-            cfg, lyapunov(cfg.map, reversal._lyapunov_seed(cfg.seed))) for cfg in configs]
+            cfg, lyapunov(cfg.map, [reversal._lyapunov_seed(cfg.seed)])[0]) for cfg in configs]
         passes = []
-        rows = reversal.lyapunov_rows
+        rows = reversal.lyapunov
 
         def counting_rows(mapping, seeds, *args, **kwargs):
             passes.append((mapping.kick_strength, len(seeds)))
             return rows(mapping, seeds, *args, **kwargs)
 
-        monkeypatch.setattr(reversal, "lyapunov_rows", counting_rows)
+        monkeypatch.setattr(reversal, "lyapunov", counting_rows)
         assert reversal_probabilities(configs) == want
         # one pass per map; the two rows of kick 6 at seed 1 share one estimate
         assert passes == [(6.0, 2), (0.3, 1)]
@@ -586,7 +614,7 @@ class TestRunCaps:
         def reached(*args, **kwargs):
             raise PassReached
 
-        monkeypatch.setattr(reversal, "lyapunov_rows", reached)
+        monkeypatch.setattr(reversal, "lyapunov", reached)
 
     def test_row_cap(self, no_pass):
         rows = [make_config(steps=0, samples=100, seed=k) for k in range(MAX_ROWS + 1)]
@@ -615,25 +643,25 @@ class TestRunCaps:
 
 class TestLyapunov:
     def test_integrable_limit(self):
-        assert abs(lyapunov(ReversibleMap(0.0), seed=3)) < 0.01
+        assert abs(lyapunov(ReversibleMap(0.0), [3])[0]) < 0.01
 
     def test_strong_chaos_matches_large_kick_asymptote(self):
         # large-kick growth rate of the kicked rotor approaches ln(K/2)
-        lam6 = lyapunov(ReversibleMap(6.0), seed=5)
+        lam6 = lyapunov(ReversibleMap(6.0), [5])[0]
         assert lam6 == pytest.approx(np.log(3.0), abs=0.15)
-        lam10 = lyapunov(ReversibleMap(10.0), seed=5)
+        lam10 = lyapunov(ReversibleMap(10.0), [5])[0]
         assert lam10 == pytest.approx(np.log(5.0), abs=0.10)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_int_seed_equals_its_seed_sequence(self, seed):
         m = ReversibleMap(6.0)
-        assert lyapunov(m, seed) == lyapunov(m, np.random.SeedSequence(entropy=seed))
+        assert lyapunov(m, [seed]) == lyapunov(m, [np.random.SeedSequence(entropy=seed)])
 
     @pytest.mark.parametrize("kick", [0.3, 6.0, 14.0])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_reference_loop(self, kick, seed):
         # the in-place kernel and tangent update must not move a bit
-        assert lyapunov(ReversibleMap(kick), seed) == reference_lyapunov(kick, seed)
+        assert lyapunov(ReversibleMap(kick), [seed])[0] == reference_lyapunov(kick, seed)
 
     @pytest.mark.parametrize("kick", [0.3, 6.0, 14.0])
     def test_stacked_rows_equal_reference_loop(self, kick):
@@ -642,7 +670,7 @@ class TestLyapunov:
         want = {seed: reference_lyapunov(kick, seed).hex() for seed in (0, 7, 11)}
         seeds = [0, 7, 11, 7]
         for order in (seeds, seeds[::-1]):
-            got = lyapunov_rows(ReversibleMap(kick), order)
+            got = lyapunov(ReversibleMap(kick), order)
             assert [lam.hex() for lam in got] == [want[seed] for seed in order]
 
 

@@ -1,11 +1,12 @@
 """Every function the benchmark's tracer wraps or its worker calls must still
-exist in fapplab.
+exist in fapplab, and the CLI must still reach what the tracer wraps.
 
 `perfbench/tracing.py` patches the names in its TARGETS table at run time, and
 the traced run's known-defect probe in `perfbench/worker.py` calls a few names
 that no CLI experiment reaches; a refactor that deletes or renames one of them
-would break the traced benchmark run. The table is read from the file without
-importing perfbench as a package.
+would break the traced benchmark run, and one that routes the CLI around a
+wrapped name leaves its per-layer metrics at 0. The tracer is loaded from its
+file without importing perfbench as a package.
 """
 
 import importlib
@@ -14,6 +15,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from fapplab import cli
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -25,7 +28,8 @@ def _load_tracing():
     return tracing
 
 
-_TABLE = _load_tracing().TARGETS
+_TRACER = _load_tracing()
+_TABLE = _TRACER.TARGETS
 TARGETS = [(module, attr) for module, attr, _name, _counter in _TABLE]
 
 
@@ -75,3 +79,30 @@ def test_every_counter_is_pinned():
 def test_counter_arguments_keep_their_names(module_name, attr):
     fn = getattr(importlib.import_module(f"fapplab.{module_name}"), attr)
     assert set(COUNTER_ARGS[module_name, attr]) <= set(inspect.signature(fn).parameters)
+
+
+#: (experiment, config) of one tiny run of each experiment, both bell modes
+TINY_RUNS = (("qfunction", {"j": "2"}),
+             ("classical-reverse", {"samples": "200", "t_values": "1,2"}),
+             ("echo", {"j": "1", "ensemble": "100"}),
+             ("friend", {}),
+             ("bell", {}),
+             ("bell", {"sampled": "true", "shots": "100"}))
+#: spans that only tests and the worker's probe reach, no CLI run
+NOT_ON_THE_CLI = {"spincoarse.coherent_kernel", "friend.message_mutual_information",
+                  "qcore.tensor_all", "qcore.partial_trace"}
+
+
+def test_cli_reaches_every_traced_name(tmp_path):
+    tracer = _TRACER.Tracer()
+    with tracer.traced():
+        for k, (experiment, pairs) in enumerate(TINY_RUNS):
+            cfg = tmp_path / f"{k}.cfg"
+            cfg.write_text("".join(f"{key}={value}\n" for key, value in pairs.items()),
+                           encoding="utf-8")
+            # through the module, whose binding the tracer patches
+            assert cli.main(["--experiment", experiment, "--config", str(cfg),
+                             "--out", str(tmp_path / f"{k}.csv")]) == 0
+    reached = {span[0] for span in tracer.spans}
+    unreached = {name for _module, _attr, name, _counter in _TABLE} - reached
+    assert unreached == NOT_ON_THE_CLI
