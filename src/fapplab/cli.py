@@ -288,11 +288,6 @@ def main(argv=None) -> int:
             raise ConfigError("threads must be at least 1")
         out_path = args.out or raw.get("out") or f"{experiment}.csv"
         cfg = resolve_config(experiment, raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         summary = run(experiment, cfg, seed, threads, out_path)
     except ToleranceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ToleranceError
 from .qcore import StateVector, owned
-from .spincoarse import SphereGrid, SpinSystem, _mixture_q, _node_overlaps, q_function_pure
+from .spincoarse import (SphereGrid, SpinSystem, _coherent_magnitudes, _mixture_q,
+                         _node_overlaps, q_function_pure)
 
 #: most member-time-node evaluations per run, the time bound: 61-65 ns each
 #: at j = 500 and 23-39 ns at j = 200, on one CPU and on two (one thread runs
@@ -87,8 +88,8 @@ _POOL = 4
 
 
 def _hashmix(value, const: int, mult: int):
-    """numpy's hashmix of uint32 `value` (a Python int or a uint32 array)
-    under hash constant `const`; returns the hash and the next constant."""
+    """numpy's hashmix of the uint32 array `value` under hash constant
+    `const`; returns the hash and the next constant."""
     const_next = const * mult & _MASK
     value = (value ^ const) * const_next & _MASK
     return value ^ value >> 16, const_next
@@ -105,29 +106,18 @@ def _seed_words(seed: int, index: np.ndarray) -> np.ndarray:
     for every i of the uint32 array `index`, one row per member.
 
     The assembled entropy is the seed's 32-bit words, least significant first
-    and zero-padded to the pool size, then the spawn word i. Every hash
-    constant follows from the number of words alone, so the pool is mixed
-    from the seed's words once, and only the spawn word and the output hash
-    run over the array of indices.
+    and zero-padded to the pool size, then the spawn word i. Everything before
+    the spawn word is the pool of `SeedSequence(seed)`, after one hash per
+    pool word and entropy word, 4 max(4, words) in all, so the hash constant
+    there follows from the word count alone; only the spawn word and the
+    output hash run over the array of indices.
     """
-    entropy = [seed & _MASK]
-    while seed := seed >> 32:
-        entropy.append(seed & _MASK)
-    entropy += [0] * (_POOL - len(entropy))
-    const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL]:
-        word, const = _hashmix(word, const, _MULT_A)
-        pool.append(word)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                word, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], word)
-    for extra in entropy[_POOL:] + [index]:
-        for dst in range(_POOL):
-            word, const = _hashmix(extra, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], word)
+    words = (seed.bit_length() + 31) // 32
+    const = _INIT_A * pow(_MULT_A, _POOL * max(_POOL, words), _MASK + 1) & _MASK
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    for dst in range(_POOL):
+        word, const = _hashmix(index, const, _MULT_A)
+        pool[dst] = _mix(pool[dst], word)
     const = _INIT_B
     state = []
     for k in range(2 * _POOL):
@@ -171,9 +161,10 @@ class GaussianPerturbation:
         Member i draws its standard normals from numpy's
         `default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))`: the stream
         is fixed by (seed, i) alone, whatever range the member is drawn in.
-        `_seed_words` hashes every member's seed words in one pass, and each
-        member's `PCG64` is seeded from its own words. At sigma = 0 every row
-        is `means` bit for bit: each draw scales to +-0, and m + +-0 = m.
+        numpy mixes the seed's pool once, `_seed_words` hashes every member's
+        spawn word into it in one pass, and each member's `PCG64` is seeded
+        from its own words. At sigma = 0 every row is `means` bit for bit:
+        each draw scales to +-0, and m + +-0 = m.
         """
         index = np.arange(members.start, members.stop, members.step, dtype=np.int64)
         if index.size and (index.min() < 0 or index.max() > _MASK):
@@ -332,13 +323,16 @@ def averaged_q_formula(psi: StateVector, h0: SpectralHamiltonian, pert: Gaussian
         <Q(Omega,t)> = |<Omega|phi(t)>|^2 e^{-(sigma t)^2/2} * (2j+1)/(4pi)
                        + (1 - e^{-(sigma t)^2/2}) sum_m |psi_m|^2 |<Omega|m>|^2 * (2j+1)/(4pi)
 
-    with phi_m(t) = psi_m e^{i W_m t}: the Q-function of the mixture
-    damping |phi><phi| + (1 - damping) sum_m |psi_m|^2 |m><m|, evaluated in
-    one pass over the states phi, |-j>, ..., |+j>.
+    with phi_m(t) = psi_m e^{i W_m t}. Only phi goes through the overlap
+    kernel; |<Omega|m>|^2 does not depend on phi, so the dephased sum is the
+    squared magnitude table of the theta-rows contracted with |psi_m|^2 and
+    repeated along each row.
     """
     _check_pairing(h0, pert)
     damping = np.exp(-(pert.sigma * t) ** 2 / 2.0)
     phi = np.exp(1j * pert.means * t) * psi.amplitudes
-    weights = np.concatenate([[damping], (1.0 - damping) * np.abs(psi.amplitudes) ** 2])
-    states = np.concatenate([phi[None, :], np.eye(sys.dim)])
-    return _mixture_q(sys, grid, weights, states)
+    coherent = _mixture_q(sys, grid, np.array([damping]), phi[None, :])
+    magnitudes = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
+    populations = np.square(magnitudes) @ np.abs(psi.amplitudes) ** 2
+    norm = (2 * sys.j + 1) / (4 * np.pi)
+    return coherent + (1.0 - damping) * norm * np.repeat(populations, grid.n_phi)

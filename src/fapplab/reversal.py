@@ -48,6 +48,12 @@ MAX_RUN_SAMPLE_STEPS = 2 * MAX_SAMPLE_STEPS
 #: most rows per run: the stacked Lyapunov pass runs on one CPU at 118-151 ns per
 #: point-step (2-core Xeon VM), so 1000 rows x 32 points x 4100 steps take 16-20 s
 MAX_ROWS = 1000
+#: largest kick strength K, for the map and the perturbed map alike: a
+#: tangent step of `lyapunov` multiplies (K/2) cos q by |v0'| <= 2 + K/2 (the
+#: tangent vector has unit norm on entry), so both new tangent entries stay
+#: below (2 + K/2)^2 and their hypot below sqrt(2) (2 + K/2)^2, finite for K up
+#: to 2.25e154 (at 2.7e154 the norm overflows for some seeds, and the estimate is NaN)
+MAX_KICK = 1e154
 #: Lyapunov estimate: map steps before the tangent loop, tangent-map steps, and
 #: points averaged over
 TRANSIENT, STEPS, N_INIT = 100, 4000, 32
@@ -132,8 +138,8 @@ class ReversibleMap:
     kick_strength: float
 
     def __post_init__(self):
-        if not np.isfinite(self.kick_strength) or self.kick_strength < 0:
-            raise ValueError("kick strength must be finite and non-negative")
+        if not 0 <= self.kick_strength <= MAX_KICK:  # NaN fails too
+            raise ValueError(f"kick strength {self.kick_strength!r} outside [0, {MAX_KICK}]")
 
     def evolve_arrays(self, q, p, steps: int):
         """`steps` map steps on coordinate arrays (the vectorized Monte-Carlo
@@ -226,8 +232,9 @@ class ReversalConfig:
         if self.samples * self.steps > MAX_SAMPLE_STEPS:
             raise ValueError(f"{self.samples} samples x {self.steps} steps exceed the "
                              f"supported {MAX_SAMPLE_STEPS} sample-steps per row")
-        if not np.isfinite(self.perturbed_kick) or self.perturbed_kick < 0:
-            raise ValueError("perturbed kick strength must be finite and non-negative")
+        if not 0 <= self.perturbed_kick <= MAX_KICK:  # NaN fails too
+            raise ValueError(f"perturbed kick strength {self.perturbed_kick!r} "
+                             f"outside [0, {MAX_KICK}]")
 
 
 @dataclass(frozen=True)

@@ -122,9 +122,8 @@ class SphereGrid(Immutable):
         return self.weights.size
 
     def same_nodes(self, other: "SphereGrid") -> bool:
-        return (self.n_theta == other.n_theta and self.n_phi == other.n_phi
-                and np.array_equal(self.thetas, other.thetas)
-                and np.array_equal(self.phis, other.phis))
+        # the constructor alone sets the read-only nodes, from the two counts
+        return (self.n_theta, self.n_phi) == (other.n_theta, other.n_phi)
 
 
 def _log_binomials(j: float) -> np.ndarray:

@@ -5,7 +5,8 @@ The echo oracles evolve one ensemble member at a time, as an explicit
 perturbation operator diagonal in the Dicke basis, where `echo_experiment`
 takes every member's phase profile at once, and seed each member through its
 own numpy `SeedSequence`, where `draw_values` hashes a whole range of members
-in one pass; the sampled CHSH
+in one pass, and `spin_half_overlap_moments` integrates a j = 1/2 member's
+overlap over the level-shift difference it depends on; the sampled CHSH
 value is the four `correlation_sampled` calls of a sampled bell run. The
 observable builders give the branch-span observables at any angle, where
 `ChshSettings.default` forms only its four; `great_circle_angle` is the angle
@@ -32,7 +33,7 @@ from fapplab.errors import ToleranceError
 from fapplab.friend import LabSpace
 from fapplab.qcore import OperatorMatrix, StateVector
 from fapplab.spincoarse import (QFunction, SolidAngle, SphereGrid, SpinSystem,
-                                bhattacharyya, q_function_pure)
+                                bhattacharyya, coherent_kernel, q_function_pure)
 
 DIAGONAL_TOL = 1e-12
 TWO_PI = 2.0 * np.pi
@@ -110,6 +111,31 @@ def reversibility_measure(psi: StateVector, h0: SpectralHamiltonian, v: Operator
     before = q_function_pure(psi, sys, grid)
     after = q_function_pure(combined_evolution(psi, h0, v, t), sys, grid)
     return bhattacharyya(before, after)
+
+
+def spin_half_overlap_moments(psi: StateVector, pert: GaussianPerturbation, t: float,
+                              grid: SphereGrid, points: int) -> np.ndarray:
+    """Mean and mean square of one ensemble member's overlap at j = 1/2 and
+    time t, by the composite trapezoid rule on `points` equally spaced nodes.
+
+    At j = 1/2 a member is (psi_0 e^{i V_0 t}, psi_1 e^{i V_1 t}), so up to a
+    global phase it depends on Delta = V_1 - V_0 alone, normal with mean
+    W_1 - W_0 and variance sigma^2 (each V_m has variance sigma^2 / 2). Its
+    overlap f(Delta) = min(1, sum_nodes w sqrt(Q_psi Q_Delta)) comes from the
+    dense `coherent_kernel`, and f and f^2 are integrated against the normal
+    density on mean +- 8 sigma, beyond which lies 1.2e-15 of the mass.
+    """
+    kernel = coherent_kernel(SpinSystem(0.5), grid).conj()  # rows <Omega|m>
+    mean, sd = pert.means[1] - pert.means[0], pert.sigma
+    delta = np.linspace(mean - 8 * sd, mean + 8 * sd, points)
+    members = psi.amplitudes * np.stack([np.ones(points), np.exp(1j * delta * t)], axis=1)
+    q_before = np.abs(kernel @ psi.amplitudes) ** 2 / (2 * np.pi)  # (2j+1)/(4pi) = 1/(2pi)
+    q_after = np.abs(members @ kernel.T) ** 2 / (2 * np.pi)
+    overlap = np.minimum(1.0, np.sqrt(q_after * q_before) @ grid.weights)
+    rule = np.exp(-0.5 * ((delta - mean) / sd) ** 2) * (delta[1] - delta[0]) / (
+        sd * np.sqrt(2 * np.pi))
+    rule[[0, -1]] /= 2
+    return np.array([rule @ overlap, rule @ overlap ** 2])
 
 
 def chsh_value_sampled(state: StateVector, settings: ChshSettings, shots: int,

@@ -114,6 +114,8 @@ class TestExitCodes:
         ("qfunction", "j", "nan"),
         ("qfunction", "j", "inf"),
         ("classical-reverse", "kick", "nan"),
+        ("classical-reverse", "kick", "1e200"),
+        ("classical-reverse", "delta_kick", "1e200"),
         ("echo", "times", "nan"),
         ("echo", "sigma_scale", "nan"),
         ("qfunction", "j", "1000000"),
@@ -134,7 +136,10 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.cfg", experiment=experiment, **{key: value})
         out = tmp_path / "o.csv"
         assert run_cli("--config", cfg, "--out", str(out)) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if key.endswith("kick"):
+            assert "kick" in err
         assert not out.exists()
 
     def test_reverse_rejects_bad_row_before_running_any(self, tmp_path, capsys,

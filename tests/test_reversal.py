@@ -8,11 +8,11 @@ import pytest
 from scipy.stats import beta, binom
 
 from fapplab import parallel, reversal
-from fapplab.reversal import (_CHUNK, MAX_ROWS, MAX_RUN_SAMPLE_STEPS, MAX_SAMPLE_STEPS,
-                              MAX_SAMPLES, N_INIT, STEPS, TRANSIENT, TWO_PI, CellRegion,
-                              PhasePoint, ReversalConfig, ReversibleMap, _flip, _wrap_down,
-                              _wrap_once, bound, lyapunov, reversal_probabilities,
-                              reversal_probability)
+from fapplab.reversal import (_CHUNK, MAX_KICK, MAX_ROWS, MAX_RUN_SAMPLE_STEPS,
+                              MAX_SAMPLE_STEPS, MAX_SAMPLES, N_INIT, STEPS, TRANSIENT,
+                              TWO_PI, CellRegion, PhasePoint, ReversalConfig, ReversibleMap,
+                              _flip, _wrap_down, _wrap_once, bound, lyapunov,
+                              reversal_probabilities, reversal_probability)
 
 from oracles import lattice_reversal_probability
 
@@ -651,6 +651,16 @@ class TestLyapunov:
         assert lam6 == pytest.approx(np.log(3.0), abs=0.15)
         lam10 = lyapunov(ReversibleMap(10.0), [5])[0]
         assert lam10 == pytest.approx(np.log(5.0), abs=0.10)
+
+    def test_largest_kick_gives_a_finite_estimate(self):
+        # the tangent entries stay below (2 + K/2)^2 at MAX_KICK, so no step
+        # overflows (a warning fails the run) and lambda is near ln(K/2)
+        lam = lyapunov(ReversibleMap(MAX_KICK), [0, 1, 2])
+        assert lam == pytest.approx([np.log(MAX_KICK / 2)] * 3, abs=0.2)
+        with pytest.raises(ValueError, match="kick"):
+            ReversibleMap(np.nextafter(MAX_KICK, np.inf))
+        with pytest.raises(ValueError, match="kick"):
+            make_config(perturbed_kick=np.nextafter(MAX_KICK, np.inf))
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_int_seed_equals_its_seed_sequence(self, seed):
