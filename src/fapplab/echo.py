@@ -25,10 +25,10 @@ from .spincoarse import (SphereGrid, SpinSystem, _coherent_magnitudes, _mixture_
                          _node_overlaps, q_function_pure)
 
 #: most member-time-node evaluations per run, the time bound: 61-65 ns each
-#: at j = 500 and 23-39 ns at j = 200, on one CPU and on two (one thread runs
-#: from j = 90, where two states' overlaps exceed the chunk budget), and 12-23
-#: ns at j = 10 and 50 on either, on a shared host, so a capped run takes
-#: ~2.5 min at most; it admits the default four times at MAX_J with 500 members
+#: at j = 500 and 23-39 ns at j = 200 on one CPU, 35-41 and 13-14 ns on two
+#: (a thread holds one state from j = 90), and 12-23 ns at j = 10 and 50 on
+#: either, on a shared host, so a capped run takes ~2.5 min at most on one
+#: CPU and ~1.5 on two; it admits the default four times at MAX_J with 500 members
 MAX_RUN_EVALS = 2**31
 #: most member-times per run, the memory bound: the members x times overlaps
 #: (8 B each) stay within 128 MiB on any grid, where MAX_RUN_EVALS alone would
@@ -43,7 +43,7 @@ MAX_ENSEMBLE = 2**15
 SIGMA_SPACING_FACTOR = 0.2  # "spread well below the level spacing", made operational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralHamiltonian:
     """Non-degenerate Hamiltonian diagonal in the Dicke basis, given by its
     sorted eigenvalues, one per level m = -j .. +j."""
@@ -127,7 +127,7 @@ def _seed_words(seed: int, index: np.ndarray) -> np.ndarray:
                      for low, high in zip(state[::2], state[1::2])], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPerturbation:
     """Ensemble of diagonal perturbations: level shift V_alpha drawn from the
     density (1/(sqrt(pi) sigma)) exp(-(V - W_alpha)^2 / sigma^2), i.e. mean
@@ -205,7 +205,7 @@ def _check_times(times: np.ndarray):
         raise ValueError("times must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EchoCurve:
     """Time-resolved ensemble-averaged reversibility.
 
@@ -243,13 +243,13 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     so the mean overlap levels off above it; the exact ensemble-averaged
     Q-function is `averaged_q_formula`. Member states are pure phase profiles
     e^{iVt} * psi on the Dicke amplitudes. One threaded pass of the separable
-    Q evaluation runs over the (member, time) pairs in time-major order:
-    each thread forms its chunk's states from the members' level shifts and
-    reduces their Q-functions to one Bhattacharyya value per pair in the
-    kernel's scratch overlaps, so no ensemble-sized complex array exists, and
-    a pair's value does not depend on which thread evaluated it. At t = 0
-    every member is psi itself, so that column is read from psi's own Q and
-    the pass covers the times after it alone.
+    Q evaluation runs over the (member, time) pairs in time-major order, in
+    chunks inside one time each: a thread forms its chunk's states from the
+    members' level shifts and reduces their Q-functions to one Bhattacharyya
+    value per pair in the kernel's scratch overlaps, so no ensemble-sized
+    complex array exists, and a pair's value does not depend on which thread
+    evaluated it. At t = 0 every member is psi itself, so that column is read
+    from psi's own Q and the pass covers the times after it alone.
     """
     times = owned(times, float)
     _check_times(times)
@@ -277,16 +277,10 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     count = ensemble_size * (times.size - first)
 
     def pairs(chunk: slice):
-        """Members and time columns of the pairs in `chunk`: every member at
-        each time after t = 0, time-major. A chunk inside one time gets a
-        member slice and its column, which index without building index
-        arrays under the interpreter lock; only the chunks that cross a time
-        build them."""
+        """Member slice and time column of the pairs in `chunk`: every member
+        at each time after t = 0, time-major, and no chunk crosses a time."""
         column, member = divmod(chunk.start, ensemble_size)
-        if column == (chunk.stop - 1) // ensemble_size:
-            return slice(member, member + chunk.stop - chunk.start), first + column
-        index = np.arange(chunk.start, chunk.stop)
-        return index % ensemble_size, first + index // ensemble_size
+        return slice(member, member + chunk.stop - chunk.start), first + column
 
     def states(chunk: slice) -> np.ndarray:
         member, column = pairs(chunk)
@@ -302,7 +296,7 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
         q_after *= weighted_before
         overlaps[pairs(chunk)] = q_after.sum(axis=1)
 
-    _node_overlaps(sys, grid, count, states, count, reduce_pairs)
+    _node_overlaps(sys, grid, count, ensemble_size, states, count, reduce_pairs)
     np.clip(overlaps, 0.0, 1.0, out=overlaps)
 
     mean = overlaps.mean(axis=0)

@@ -20,6 +20,12 @@ import threading
 #: the machine's where the platform has no affinity call; `run_shared` starts
 #: at most one thread per CPU
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+#: most threads of a loop whose memory grows with its threads: a reversal
+#: thread's chunk peaks at 0.72 MiB under tracemalloc, so 4 hold 2.9 MiB of the
+#: 4 MiB a 1e6-sample row may take (a first call read 3.4); an overlap-kernel
+#: thread past its share of the chunk budget holds one state, 24 B a node, so
+#: 4 hold 96 MB at j = 500, below the 108 MiB of a j = 500 Q-function run
+MAX_THREADS = 4
 
 
 class _Shared:

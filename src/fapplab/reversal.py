@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import run_shared
+from .parallel import MAX_THREADS, run_shared
 from .qcore import owned
 
 TWO_PI = 2.0 * np.pi
@@ -29,11 +29,6 @@ TWO_PI = 2.0 * np.pi
 #: sine, kick and temporaries (0.8 MiB in all) stay in its core's L2 across all
 #: map steps of a block
 _CHUNK = 16384
-#: most threads a row's chunks run on side by side: a thread holding one chunk
-#: peaks at 0.72 MiB under tracemalloc (coordinates, sine, kick, wrap and
-#: cell-test temporaries), so 4 threads peaking together hold 2.9 MiB, inside
-#: the 4 MiB that a 1e6-sample row may take (a first call on 4 threads read 3.4)
-MAX_THREADS = 4
 #: most Monte-Carlo samples per row: the default t_values take 1.0-1.5 us per
 #: sample over their three rows on 2 CPUs (1.6-2.5 us on one), so <= 2.5 min at the cap
 MAX_SAMPLES = 10**8

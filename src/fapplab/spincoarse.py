@@ -14,7 +14,7 @@ from math import lgamma, pi
 import numpy as np
 
 from .errors import GridOrderError, ToleranceError
-from .parallel import run_shared, workers
+from .parallel import MAX_THREADS, run_shared, workers
 from .qcore import Immutable, OperatorMatrix, StateVector, owned
 
 MAX_J = 500  # binomials are evaluated in log space; beyond this we refuse
@@ -27,8 +27,8 @@ BHATTACHARYYA_EXCESS_TOL = 1e-8
 # j = 50 x 1000) on two CPUs took medians of 685-725, 441-452, 362-445,
 # 322-347 and 350-360 ms at 256 KiB to 4 MiB, doubling each step; each
 # doubling adds 1.5 old budgets of chunk buffers, and lets more threads run.
-# Two states fit up to j = 89.5, so one thread runs from j = 90; one state
-# exceeds the budget from j = 127.5
+# Two states fit up to j = 89.5 and four up to j = 63; past that each thread
+# holds one state's buffers (`MAX_THREADS` of them at most)
 OVERLAP_CHUNK_BYTES = 2**20
 # Q nodes that `QFunction.write_csv` formats and writes as one str, rounded
 # down to whole theta-rows (at least one); a block's arrays take several
@@ -176,7 +176,7 @@ def coherent_kernel(sys: SpinSystem, grid: SphereGrid) -> np.ndarray:
     return kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QFunction:
     """Positive normalized distribution on a sphere grid (the macroscopic state)."""
 
@@ -244,10 +244,11 @@ def _check_order(sys: SpinSystem, grid: SphereGrid):
             f"grid exactness order {grid.exactness_order} below the spin band limit {band}")
 
 
-def _node_overlaps(sys: SpinSystem, grid: SphereGrid, count: int, states, most: int,
-                   reduce) -> None:
+def _node_overlaps(sys: SpinSystem, grid: SphereGrid, count: int, group: int, states,
+                   most: int, reduce) -> None:
     """reduce(chunk, overlaps) with |<Omega|psi_k>|^2 at every grid node for
-    the rows psi_k = states(chunk), over consecutive chunks of range(count).
+    the rows psi_k = states(chunk), over slices of range(count) that never
+    cross a multiple of `group`, which divides count.
 
     On the product grid <Omega|psi> = e^{-ij phi} sum_m d_m(theta) psi_m
     e^{i(j+m) phi} with the real d_m(theta) = |<m|theta, 0>|, so each theta-row
@@ -256,14 +257,14 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, count: int, states, most: 
     1994).
 
     The chunks run on up to `most` threads side by side, each taking the next
-    chunk when it is ready for one (`parallel.run_shared`): no more threads
-    than states fit in OVERLAP_CHUNK_BYTES, which they share, at least one
-    state a chunk. `states` is called on the thread that evaluates the chunk,
-    so a caller can form each chunk's states there instead of holding all of
-    them at once. The table is complex and zero past column 2j+1, and each
-    thread copies its chunk's states into zero-padded amplitude rows, so one
-    product of two complex arrays fills the whole transform buffer: no cast
-    of the table and no pass to clear the padding. Each thread reuses its
+    chunk when it is ready for one (`parallel.run_shared`). They share
+    OVERLAP_CHUNK_BYTES, or past it up to MAX_THREADS hold one state each.
+    `states` is called on the thread that evaluates the chunk, so a caller
+    can form each chunk's states there instead of holding all of them at
+    once. The table is complex and zero past column 2j+1, and each thread
+    copies its chunk's states into zero-padded amplitude rows, so one product
+    of two complex arrays fills the whole transform buffer: no cast of the
+    table and no pass to clear the padding. Each thread reuses its
     amplitude rows, one complex and one real buffer: the overlaps passed to
     `reduce` are scratch space that the thread's next chunk overwrites, so
     `reduce` copies or reduces them (in place if it likes), and with
@@ -277,15 +278,18 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, count: int, states, most: 
     table = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
     table[:, :sys.dim] = _coherent_magnitudes(sys, grid.thetas[::grid.n_phi])
     fit = OVERLAP_CHUNK_BYTES // (16 * grid.size)  # 0 where one state's overlaps exceed it
-    threads = workers(count, min(most, max(1, fit)))
-    step = max(1, min(count, fit // threads))
+    threads = workers(count, min(most, max(fit, MAX_THREADS)))
+    step = max(1, min(group, fit // threads))
+    per_group = -(-group // step)  # chunks of a group, the last one ragged
 
-    def run(starts) -> None:
+    def run(indices) -> None:
         amplitudes = np.zeros((step, grid.n_phi), dtype=complex)
         transform = np.empty((step, grid.n_theta, grid.n_phi), dtype=complex)
         overlaps = np.empty((step, grid.size))
-        for start in starts:
-            chunk = slice(start, min(start + step, count))
+        for index in indices:
+            group_start = index // per_group * group
+            start = group_start + index % per_group * step
+            chunk = slice(start, min(start + step, group_start + group))
             block = states(chunk)
             k = len(block)
             amplitudes[:k, :sys.dim] = block
@@ -295,7 +299,7 @@ def _node_overlaps(sys: SpinSystem, grid: SphereGrid, count: int, states, most: 
             np.abs(rows.reshape(k, -1), out=out)
             reduce(chunk, np.square(out, out=out))
 
-    run_shared(run, range(0, count, step), threads)
+    run_shared(run, range(count // group * per_group), threads)
 
 
 def _mixture_q(sys: SpinSystem, grid: SphereGrid, weights: np.ndarray,
@@ -307,7 +311,7 @@ def _mixture_q(sys: SpinSystem, grid: SphereGrid, weights: np.ndarray,
         nonlocal total
         total = total + weights[chunk] @ overlaps
 
-    _node_overlaps(sys, grid, len(states), states.__getitem__, 1, add)
+    _node_overlaps(sys, grid, len(states), len(states), states.__getitem__, 1, add)
     return (2 * sys.j + 1) / (4 * pi) * total
 
 

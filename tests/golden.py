@@ -11,14 +11,19 @@ against the file it replaces. For the Q-function `value` column it also prints
 that difference divided by the column's peak: on nodes where Q is ~1e-230 a
 per-node relative error says nothing about the distribution.
 
-The bytes depend on numpy's and the BLAS library's rounding, so VERSIONS
-records both next to the files.
+The bytes depend on numpy's and the BLAS library's rounding, and on the SIMD
+kernels each of them picks for the CPU at run time, so VERSIONS records both
+versions, numpy's SIMD extensions found on the CPU and the OpenBLAS core
+next to the files.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import io
+import os
 import platform
 import tempfile
 from pathlib import Path
@@ -123,11 +128,29 @@ def column_diffs(old: str, new: str) -> list:
     return sorted(lines)
 
 
+def _openblas_core() -> str:
+    """The kernel set that numpy's bundled OpenBLAS picked for this CPU."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            if hasattr(lib, symbol):
+                corename = getattr(lib, symbol)
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
 def versions() -> str:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = ", ".join(config["SIMD Extensions"]["found"])
     return (f"python {platform.python_version()}\n"
             f"numpy {np.__version__}\n"
-            f"blas {blas['name']} {blas['version']}\n")
+            f"numpy simd found: {simd}\n"
+            f"blas {blas['name']} {blas['version']}\n"
+            f"blas core {_openblas_core()}\n")
 
 
 def regenerate() -> None:

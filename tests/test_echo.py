@@ -407,7 +407,7 @@ class TestEchoBuffers:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_any_cpu_count_matches_reference_loop_bits(self, setup, cpus, monkeypatch):
         # 96 states fit the budget at j = 12: 32 a chunk on 3 threads and 12
-        # on 8, so the last chunk of the 300 pairs holds 12 on 3 threads
+        # on 8, so each time's 100 members end in a chunk of 4
         monkeypatch.setattr(parallel, "CPUS", cpus)
         curve = echo_experiment(*setup)
         mean, std_error = reference_echo(*setup)
@@ -427,11 +427,11 @@ class TestEchoBuffers:
                             16 * grid.size * per_chunk * cpus)
         sizes = []
 
-        def sizing(sys_, grid_, count, states, most, reduce):
+        def sizing(sys_, grid_, count, group, states, most, reduce):
             def sized(chunk):
                 sizes.append(len(range(count)[chunk]))
                 return states(chunk)
-            return spincoarse._node_overlaps(sys_, grid_, count, sized, most, reduce)
+            return spincoarse._node_overlaps(sys_, grid_, count, group, sized, most, reduce)
 
         monkeypatch.setattr(echo_mod, "_node_overlaps", sizing)
         curve = echo_experiment(*setup)
@@ -446,19 +446,19 @@ class TestEchoBuffers:
     def test_chunks_crossing_a_time_match_reference_loop_bits(self, setup, cpus, ensemble,
                                                              monkeypatch):
         # 7 states a chunk on every thread, against 100 and 150 members a
-        # time after t = 0: a time's last chunk mostly runs into the next
-        # time's members; those chunks index with arrays, the rest with slices
+        # time after t = 0: a time's members end partway through a chunk of
+        # 7, so the kernel ends that chunk there, and no chunk crosses a time
         psi, h0, pert, times, _, sys_, grid = setup
         args = psi, h0, pert, times, ensemble, sys_, grid
         monkeypatch.setattr(parallel, "CPUS", cpus)
         monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", 16 * grid.size * 7 * cpus)
         chunks = []
 
-        def recording(sys_, grid_, count, states, most, reduce):
+        def recording(sys_, grid_, count, group, states, most, reduce):
             def recorded(chunk):
                 chunks.append(chunk)
                 return states(chunk)
-            return spincoarse._node_overlaps(sys_, grid_, count, recorded, most, reduce)
+            return spincoarse._node_overlaps(sys_, grid_, count, group, recorded, most, reduce)
 
         monkeypatch.setattr(echo_mod, "_node_overlaps", recording)
         curve = echo_experiment(*args)
@@ -468,16 +468,16 @@ class TestEchoBuffers:
         crossing = [c for c in chunks if any(c.start < b < c.stop for b in starts)]
         assert sum(c.stop - c.start for c in chunks) == count
         assert max(c.stop - c.start for c in chunks) == 7
-        assert crossing
+        assert not crossing
         assert np.array_equal(curve.mean_overlap, mean)
         assert np.array_equal(curve.std_error, std_error)
 
     def test_zero_time_adds_no_kernel_pair(self, setup, monkeypatch):
         rows = []
 
-        def counting(sys_, grid, count, states, most, reduce):
+        def counting(sys_, grid, count, group, states, most, reduce):
             rows.append(count)
-            return spincoarse._node_overlaps(sys_, grid, count, states, most, reduce)
+            return spincoarse._node_overlaps(sys_, grid, count, group, states, most, reduce)
 
         monkeypatch.setattr(echo_mod, "_node_overlaps", counting)
         psi, h0, pert, times, ensemble, sys_, grid = setup
@@ -526,6 +526,30 @@ class TestEchoBuffers:
             bound = (values_bytes + 3 * spincoarse.OVERLAP_CHUNK_BYTES // 2
                      + min(cpus, fit) * 8192 * 16 + 5 * 8 * grid.size)
             assert bound < 2 * spincoarse.OVERLAP_CHUNK_BYTES + 6 * 16 * ensemble * sys_.dim
+            peak = self.traced_peak(args)
+            assert peak < bound, (f"{cpus} CPUs: peak {peak / 2**20:.2f} MiB, "
+                                  f"bound {bound / 2**20:.2f} MiB")
+
+    def test_memory_past_the_budget_grows_by_one_state_per_thread(self, monkeypatch):
+        # j = 90, 100 members at one time after t = 0: one state's overlaps
+        # (16 B a node) fill the 1 MiB budget less than twice, so each thread
+        # holds one state's buffers (16 B and 8 B a node, the amplitude row
+        # and the iterator buffer), on up to MAX_THREADS threads; the run's
+        # arrays are the level shifts and five grid-sized real arrays, as at
+        # j = 50
+        sys_ = SpinSystem(90)
+        grid = SphereGrid.for_spin(sys_)
+        assert spincoarse.OVERLAP_CHUNK_BYTES // (16 * grid.size) < 2
+        h0 = SpectralHamiltonian.random_dicke_diagonal(sys_, seed=1)
+        sigma = 0.05 * h0.mean_spacing
+        pert = GaussianPerturbation(sigma=sigma, means=np.zeros(sys_.dim), seed=2, h0=h0)
+        psi = coherent_state(sys_, SolidAngle(1.0, 0.3))
+        args = psi, h0, pert, np.array([0.0, 1 / sigma]), 100, sys_, grid
+        state = 24 * grid.size + 16 * grid.n_phi + 8192 * 16
+        for cpus in range(1, 9):
+            monkeypatch.setattr(parallel, "CPUS", cpus)
+            bound = (100 * sys_.dim * 8 + min(cpus, parallel.MAX_THREADS) * state
+                     + 5 * 8 * grid.size)
             peak = self.traced_peak(args)
             assert peak < bound, (f"{cpus} CPUs: peak {peak / 2**20:.2f} MiB, "
                                   f"bound {bound / 2**20:.2f} MiB")
@@ -626,9 +650,9 @@ class TestAveragedQFormula:
         psi = coherent_state(sys_, SolidAngle(0.9, 0.2))
         kernel, counts = spincoarse._node_overlaps, []
 
-        def counting(sys, grid, count, *rest):
+        def counting(sys, grid, count, group, *rest):
             counts.append(count)
-            kernel(sys, grid, count, *rest)
+            kernel(sys, grid, count, group, *rest)
 
         monkeypatch.setattr(spincoarse, "_node_overlaps", counting)
         at_zero = averaged_q_formula(psi, h0, pert, 0.0, sys_, grid)

@@ -373,7 +373,8 @@ class TestOverlapBuffers:
             chunks.append(chunk)
             out[chunk] = overlaps   # copied: the kernel's array is scratch space
 
-        _node_overlaps(self.SYS, self.GRID, len(states), states.__getitem__, most, copy)
+        _node_overlaps(self.SYS, self.GRID, len(states), len(states), states.__getitem__, most,
+                       copy)
         return out, chunks
 
     @pytest.fixture
@@ -433,6 +434,47 @@ class TestOverlapBuffers:
                             self.STATES, self.GRID.size)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("cpus", range(1, 9))
+    @pytest.mark.parametrize("budget", [1, 7, "all"])
+    @pytest.mark.parametrize("group", [1, 5, 12, 37])
+    def test_no_chunk_spans_two_groups(self, group, budget, cpus, rng, monkeypatch):
+        # three groups of `group` states, one state's budget to all of them in
+        # one chunk's budget, on every thread count: a chunk stops at its group's
+        # end, and the chunks cover every state once
+        count = 3 * group
+        states = np.array([random_state(rng, self.SYS.dim) for _ in range(count)])
+        nbytes = 64 * 2**20 if budget == "all" else 16 * self.GRID.size * budget
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", nbytes)
+        monkeypatch.setattr(parallel, "CPUS", cpus)
+        chunks = []
+        _node_overlaps(self.SYS, self.GRID, count, group, states.__getitem__, cpus,
+                       lambda chunk, overlaps: chunks.append(chunk))
+        rows = [range(count)[c] for c in chunks]
+        assert all(r.start // group == (r.stop - 1) // group for r in rows)
+        assert sum(map(len, rows)) == count
+        assert sorted(i for r in rows for i in r) == list(range(count))
+
+    @pytest.mark.parametrize("cpus", range(1, 9))
+    def test_threads_past_the_budget_hold_one_state_each(self, cpus, states, monkeypatch):
+        # a budget of one state: every thread the CPUs allow, up to MAX_THREADS,
+        # takes chunks of one state, with the reference bits
+        nbytes = self.BUDGETS["one-state"]
+        monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", nbytes)
+        monkeypatch.setattr(parallel, "CPUS", cpus)
+        started = []
+
+        def counting(work, items, most):
+            started.append(parallel.workers(len(items), most))
+            parallel.run_shared(work, items, most)
+
+        monkeypatch.setattr(spincoarse, "run_shared", counting)
+        got, chunks = self.kernel_overlaps(states, most=10**6)
+        assert started == [min(cpus, parallel.MAX_THREADS)]
+        assert [len(range(self.STATES)[c]) for c in chunks] == [1] * self.STATES
+        want = self.collect(reference_node_overlaps(self.SYS, self.GRID, states, nbytes),
+                            self.STATES, self.GRID.size)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("per_chunk", [1, 3, 6])
     def test_one_call_allocates_its_buffers_and_one_iterator_buffer(self, per_chunk, rng,
                                                                     monkeypatch):
@@ -449,7 +491,7 @@ class TestOverlapBuffers:
         monkeypatch.setattr(spincoarse, "OVERLAP_CHUNK_BYTES", 16 * grid.size * per_chunk)
 
         def call():
-            _node_overlaps(sys_, grid, len(states), states.__getitem__, 1,
+            _node_overlaps(sys_, grid, len(states), len(states), states.__getitem__, 1,
                            lambda chunk, overlaps: None)
 
         call()  # untraced first, so numpy's FFT plan cache stays out of the peak

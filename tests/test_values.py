@@ -1,7 +1,8 @@
 """README's value convention, checked on one instance of every public value
 type: attributes can be neither rebound nor deleted, every stored array
 is a read-only copy that shares no memory with the array the caller passed,
-which stays writable, and a NaN or inf in any float field is refused."""
+which stays writable, a NaN or inf in any float field is refused, and `==`
+and `hash` work on every value."""
 
 import dataclasses
 import inspect
@@ -190,3 +191,16 @@ def test_every_float_field_has_a_nonfinite_case():
 def test_nonfinite_float_field_is_refused(field, x):
     with pytest.raises(ValueError):
         NONFINITE[field](x)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_equality_with_an_equal_twin_is_a_bool_and_hash_works(name):
+    # a generated __eq__ over ndarray fields raises on arrays of two or more
+    # entries, and a generated __hash__ raises on any ndarray field; the
+    # array-bearing types compare by identity, as StateVector does
+    value, _ = CASES[name]()
+    twin, _ = CASES[name]()
+    assert isinstance(value == twin, bool)
+    assert value == value
+    assert isinstance(hash(value), int)
+    assert isinstance(hash(twin), int)
