@@ -249,7 +249,8 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     value per pair in the kernel's scratch overlaps, so no ensemble-sized
     complex array exists, and a pair's value does not depend on which thread
     evaluated it. At t = 0 every member is psi itself, so that column is read
-    from psi's own Q and the pass covers the times after it alone.
+    from psi's own Q and the pass covers the times after it alone; with no
+    time after it, no level shift is drawn and the pass does not run.
     """
     times = owned(times, float)
     _check_times(times)
@@ -268,7 +269,6 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
     q_before = q_function_pure(psi, sys, grid)
     weighted_before = grid.weights * np.sqrt(q_before.values)
     norm = (2 * sys.j + 1) / (4 * np.pi)
-    values = pert.draw_values(range(ensemble_size))
 
     overlaps = np.empty((ensemble_size, times.size))
     # times strictly increase from 0 or above: only times[0] can be 0
@@ -296,7 +296,9 @@ def echo_experiment(psi: StateVector, h0: SpectralHamiltonian, pert: GaussianPer
         q_after *= weighted_before
         overlaps[pairs(chunk)] = q_after.sum(axis=1)
 
-    _node_overlaps(sys, grid, count, ensemble_size, states, count, reduce_pairs)
+    if count:  # times = [0] alone needs no member state
+        values = pert.draw_values(range(ensemble_size))
+        _node_overlaps(sys, grid, count, ensemble_size, states, count, reduce_pairs)
     np.clip(overlaps, 0.0, 1.0, out=overlaps)
 
     mean = overlaps.mean(axis=0)

@@ -20,9 +20,15 @@ column was formatted in numpy blocks: one `repr` per node.
 `lattice_reversal_probability` runs the reversal protocol on a midpoint
 lattice of the cell with plain np.remainder steps, where `reversal_probability`
 draws Monte-Carlo samples and steps them with narrowed wraps.
+`legendre_exact` evaluates P_{n-1} and P_n without rounding at a double, or at
+any dyadic rational, where `SphereGrid`'s Gauss-Legendre rule runs the same
+recurrence in floating point, and `gauss_legendre_exact` refines one of that
+rule's nodes by Newton's method in 256-bit fixed point.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -245,3 +251,48 @@ def lifted_stern_gerlach(space: LabSpace) -> np.ndarray:
 
 def lifted_observer_coupling(space: LabSpace) -> np.ndarray:
     return lift(observer_gate(space), 2, 3)
+
+
+def legendre_exact(n: int, x) -> tuple[Fraction, Fraction]:
+    """P_{n-1}(x) and P_n(x) without rounding, for n >= 1 at a double or
+    dyadic rational x = M / 2^e.
+
+    2^k P_k has integer coefficients, so N_k = 2^((e+1) k) P_k(x) is an integer,
+    and the three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}
+    becomes (k+1) N_{k+1} = 2 (2k+1) M N_k - k 4^(e+1) N_{k-1}, whose division
+    is exact.
+    """
+    x = Fraction(x)
+    e = x.denominator.bit_length() - 1
+    if x.denominator != 1 << e:
+        raise ValueError(f"{x} is not a dyadic rational")
+    older, old = 1, 2 * x.numerator
+    for k in range(1, n):
+        older, old = old, (2 * (2 * k + 1) * x.numerator * old
+                           - k * 4 ** (e + 1) * older) // (k + 1)
+    scale = 2 ** (e + 1)
+    return Fraction(older, scale ** (n - 1)), Fraction(old, scale ** n)
+
+
+def gauss_legendre_exact(n: int, node: float) -> tuple[Fraction, Fraction]:
+    """The root r of P_n next to `node` and its Gauss weight
+    2 (1 - r^2) / (n P_{n-1}(r))^2, by Newton's method on the three-term
+    recurrence in fixed point with 256 fraction bits (each product
+    truncated): four steps from a node within 1e-12 of the root."""
+    bits = 256
+    one = 1 << bits
+    root = int(Fraction(node) * one)
+
+    def legendre(x):
+        older, old = one, x
+        for k in range(1, n):
+            older, old = old, ((2 * k + 1) * (x * old >> bits) - k * older) // (k + 1)
+        return older, old
+
+    for _ in range(4):
+        below, top = legendre(root)
+        if top:
+            root -= (top * ((root * root >> bits) - one)
+                     // (n * ((root * top >> bits) - below)))
+    below, _ = legendre(root)
+    return Fraction(root, one), Fraction(2 * (one * one - root * root), (n * below) ** 2)

@@ -489,3 +489,23 @@ def test_cli_import_leaves_numpy_random_and_fft_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
     assert done.stdout.strip() == ""
+
+
+def test_qfunction_and_echo_runs_leave_numpy_polynomial_unloaded(tmp_path):
+    # numpy.polynomial came in with numpy's leggauss alone, about 0.75 MB of
+    # the resident size; the sphere grid's own Newton rule needs none of it
+    src = os.path.dirname(os.path.dirname(fapplab.__file__))
+    runs = {"qfunction": "experiment=qfunction\nj=60\n",
+            "echo": "experiment=echo\nj=10\nensemble=100\n"}
+    for name, text in runs.items():
+        (tmp_path / f"{name}.cfg").write_text(text, encoding="utf-8")
+    code = ("import sys\nfrom fapplab.cli import main\n"
+            f"for name in {sorted(runs)!r}:\n"
+            f"    cfg, out = {str(tmp_path)!r} + f'/{{name}}.cfg', {str(tmp_path)!r} + f'/{{name}}.out'\n"
+            "    assert main(['--config', cfg, '--seed', '5', '--out', out]) == 0\n"
+            "print('numpy.polynomial' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "qfunction.out").stat().st_size > 0
+    assert (tmp_path / "echo.out").stat().st_size > 0

@@ -485,6 +485,34 @@ class TestEchoBuffers:
         # one pass over every member at each time after t = 0, at sigma = 0 too
         assert rows == [ensemble * int(np.sum(times > 0))]
 
+    def test_zero_time_alone_draws_and_evaluates_no_member(self, setup, monkeypatch):
+        psi, h0, pert, times, ensemble, sys_, grid = setup
+        full = echo_experiment(psi, h0, pert, np.array([0.0, 7.0]), ensemble, sys_, grid)
+        calls = []
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(echo_mod, "_node_overlaps",
+                            counting("kernel", spincoarse._node_overlaps))
+        monkeypatch.setattr(GaussianPerturbation, "draw_values",
+                            counting("draw", GaussianPerturbation.draw_values))
+        alone = echo_experiment(psi, h0, pert, np.array([0.0]), ensemble, sys_, grid)
+        assert calls == []
+        # every member's overlap is psi's own Q against itself, as in the
+        # first column of a run with later times
+        q = q_function_pure(psi, sys_, grid).values
+        column = np.full((ensemble, 1), np.sum(np.sqrt(q) * (grid.weights * np.sqrt(q))))
+        assert np.array_equal(alone.mean_overlap, column.mean(axis=0))
+        assert np.array_equal(alone.std_error, column.std(axis=0, ddof=1) / np.sqrt(ensemble))
+        assert_allclose(alone.mean_overlap, full.mean_overlap[:1], rtol=1e-15)
+        assert np.array_equal(alone.analytic_bound, [1.0])
+        echo_experiment(psi, h0, pert, np.array([0.0, 7.0]), ensemble, sys_, grid)
+        assert calls == ["draw", "kernel"]
+
     @staticmethod
     def j50_run(ensemble):
         """echo_experiment at j = 50 on four times, 0 to 4/sigma."""

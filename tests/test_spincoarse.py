@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from fractions import Fraction
 from math import factorial, lgamma, pi
 
 import numpy as np
@@ -11,13 +12,14 @@ from fapplab import parallel, spincoarse
 from fapplab.errors import GridOrderError
 from fapplab.qcore import OperatorMatrix, StateVector
 from fapplab.spincoarse import (QFunction, SolidAngle, SphereGrid,
-                                SpinSystem, _coherent_magnitudes, _mixture_q,
+                                SpinSystem, _coherent_magnitudes, _gauss_legendre, _mixture_q,
                                 _node_overlaps, bhattacharyya,
                                 coherent_kernel, coherent_state, q_function,
                                 q_function_pure)
 
 from conftest import random_state, reference_node_overlaps
-from oracles import great_circle_angle, write_csv_by_nodes
+from oracles import (gauss_legendre_exact, great_circle_angle, legendre_exact,
+                     write_csv_by_nodes)
 
 
 def spherical_harmonic(l, m, theta, phi):
@@ -91,6 +93,94 @@ class TestSphereGrid:
         assert (grid.n_theta, grid.n_phi, grid.exactness_order) == (4, 5, 4)
         with pytest.raises(ValueError):
             grid.thetas[0] = 0.0
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(1, 1), (7, 3), (53, 310), (302, 302)])
+    def test_node_arrays_are_the_product_of_the_axis_rules(self, n_theta, n_phi):
+        grid = SphereGrid(n_theta, n_phi)
+        x, w = _gauss_legendre(n_theta)
+        th, ph = np.meshgrid(np.arccos(x), 2 * pi * np.arange(n_phi) / n_phi, indexing="ij")
+        assert np.array_equal(grid.thetas, th.ravel())
+        assert np.array_equal(grid.phis, ph.ravel())
+        assert np.array_equal(grid.weights, np.outer(w, np.full(n_phi, 2 * pi / n_phi)).ravel())
+
+    def test_building_a_grid_calls_nothing_in_numpy_linalg(self, monkeypatch):
+        # numpy's leggauss ran a dense eigensolver, whose BLAS threads then
+        # busy-waited beside the overlap kernel's
+        def refusing(name):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"np.linalg.{name} called while building a grid")
+            return refuse
+
+        for name in dir(np.linalg):
+            if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name),
+                                                                     type):
+                monkeypatch.setattr(np.linalg, name, refusing(name))
+        for n in (1, 2, 102, 302):
+            SphereGrid(n, n)
+
+
+class TestGaussLegendre:
+    """The theta rule against exact evaluations of P_n and P_{n-1}: in rational
+    arithmetic at the doubles the rule returns, and at its roots in 256-bit
+    fixed point."""
+
+    EPS = np.finfo(float).eps
+    DEGREES = [1, 2, 3, 4, 7, 12, 22, 41, 64]
+
+    @pytest.mark.parametrize("n", DEGREES)
+    def test_each_node_brackets_a_root(self, n):
+        # P_n changes sign within one ulp of every node, or within half an
+        # ulp of 1 near x = 0, where P_n's rounding is about that large in
+        # absolute terms (the node next to 0 at n = 64 is 2.0 ulps off)
+        nodes, _ = _gauss_legendre(n)
+        assert nodes.size == n and np.all(np.diff(nodes) > 0)
+        for x in nodes.tolist():
+            reach = max(Fraction(np.spacing(abs(x))), Fraction(self.EPS) / 2)
+            low = legendre_exact(n, Fraction(x) - reach)[1]
+            high = legendre_exact(n, Fraction(x) + reach)[1]
+            assert low * high <= 0, x
+            if abs(x) >= 0.5:
+                assert reach == Fraction(np.spacing(abs(x)))
+
+    @pytest.mark.parametrize("n", DEGREES)
+    def test_nodes_and_weights_are_symmetric(self, n):
+        nodes, weights = _gauss_legendre(n)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        if n % 2:
+            middle = nodes[n // 2]
+            assert middle == 0.0 and not np.signbit(middle)
+
+    @pytest.mark.parametrize("n", DEGREES)
+    def test_weights_match_the_exact_formula_at_each_node(self, n):
+        # 2 (1 - x^2) / (n (P_{n-1}(x) - x P_n(x)))^2 = 2 / ((1 - x^2) P_n'(x)^2),
+        # exactly at the double x: only the recurrence's rounding differs,
+        # which grows with n
+        nodes, weights = _gauss_legendre(n)
+        for x, w in zip(nodes.tolist(), weights.tolist()):
+            below, top = legendre_exact(n, x)
+            exact = 2 * (1 - Fraction(x) ** 2) / (n * (below - Fraction(x) * top)) ** 2
+            assert abs(Fraction(w) / exact - 1) <= 4 * n * self.EPS, x
+
+    @pytest.mark.parametrize("n", DEGREES)
+    def test_weights_match_the_true_weights(self, n):
+        nodes, weights = _gauss_legendre(n)
+        for x, w in zip(nodes.tolist(), weights.tolist()):
+            root, true = gauss_legendre_exact(n, x)
+            assert abs(Fraction(x) - root) <= Fraction(self.EPS) / 2
+            assert abs(Fraction(w) / true - 1) <= 1e-13, x
+
+    def test_rule_integrates_every_legendre_polynomial_to_its_degree(self):
+        # sum_i w_i P_k(x_i) = 2 delta_k0 for k <= 2n - 1 at the default
+        # rule of the largest spin (numpy's leggauss: 8.3e-14 at k = 284)
+        n = 1002
+        nodes, weights = _gauss_legendre(n)
+        older, old = np.ones(n), nodes.copy()
+        assert abs(weights.sum() - 2.0) <= 1e-13
+        assert abs(weights @ nodes) <= 1e-13
+        for k in range(1, 2 * n - 1):
+            older, old = old, ((2 * k + 1) * nodes * old - k * older) / (k + 1)
+            assert abs(weights @ old) <= 1e-13, k + 1
 
 
 def reference_magnitudes(sys, thetas):
